@@ -17,11 +17,7 @@ from .groups import (
     LimitExceeded,
     RootExponent,
     discrete_log,
-    element_order,
     enumerate_subgroup,
-    image_subgroup,
-    kernel_generators,
-    restrict_character,
     smith_normal_form,
     solve_character_congruences,
 )
@@ -30,9 +26,8 @@ from .cover import (
     CombinatorialData,
     InvalidCoverData,
     KernelDescription,
-    RamificationFactorization,
+    SumMapPresentation,
     ValidationIssue,
-    is_locally_simple,
     kernel_K,
     ramification_factorization,
     sum_map,
@@ -59,10 +54,8 @@ from .classify import (
     UNKNOWN,
     classify,
     gorenstein_lift,
-    gorenstein_socle,
     gorenstein_watanabe,
     lci_classify,
-    smoothness_check,
 )
 
 __version__ = "0.1.0"

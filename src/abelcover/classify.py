@@ -9,7 +9,7 @@ subgroup extend to the whole group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .groups import (
     Character,
@@ -115,36 +115,20 @@ def gorenstein_lift(data: CombinatorialData) -> Character | None:
     return solve_character_congruences(data.group, constraints)
 
 
-def gorenstein_watanabe(data: CombinatorialData, *, kernel: KernelDescription | None = None) -> bool:
+def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> bool:
     """SL test on the kernel: the fiber is Gorenstein iff the determinant of
     the diagonal K-action is trivial, i.e. sum_i t_i a_i / d_i is an integer
     on every kernel generator (t_1, ..., t_s)."""
-    kd = kernel if kernel is not None else kernel_K(data, enumeration_limit=0)
     orders = data.orders
-    residues = [datum.char_residue for datum in data.branch]
-    for gen in kd.generators:
-        total = Fraction(0)
-        for t, a, d in zip(gen.residues, residues, orders):
-            total += Fraction(t * a, d)
-        if total.denominator != 1:
-            return False
-    return True
+    L = lcm(*orders)
+    weights = [datum.char_residue * (L // datum.order) for datum in data.branch]
+    return all(
+        sum(t * w for t, w in zip(gen.residues, weights)) % L == 0
+        for gen in kernel.generators
+    )
 
 
-def gorenstein_socle(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> bool:
-    """Socle test on the fiber ring of the totally ramified restriction:
-    Gorenstein iff the socle is one-dimensional."""
-    restricted = ramification_factorization(data).restricted
-    ring = build_fiber_ring(restricted, order_limit=order_limit)
-    return len(socle_basis(ring)) == 1
-
-
-def lci_classify(
-    data: CombinatorialData,
-    *,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-    kernel: KernelDescription | None = None,
-) -> tuple[str, str]:
+def lci_classify(data: CombinatorialData, kernel: KernelDescription) -> tuple[str, str]:
     """Complete-intersection verdict with its reason code.
 
     Decision table, applied in order:
@@ -154,30 +138,20 @@ def lci_classify(
       4. s = 2 (Gorenstein here)    -> LCI      (A-type-surface)
       5. otherwise                  -> Unknown  (open-general-case)
     Rules 3 and 4 are mutually exclusive (s = 2 caps supports at 2).  When
-    the kernel is too large to enumerate and rule 3 cannot be decided the
+    the kernel was too large to enumerate and rule 3 cannot be decided the
     verdict is Unknown with reason `limit`.
     """
-    kd = kernel if kernel is not None else kernel_K(data, enumeration_limit=enumeration_limit)
-    if kd.order == 1:
+    if kernel.order == 1:
         return LCI, REASON_LOCALLY_SIMPLE
-    if not gorenstein_watanabe(data, kernel=kd):
+    if not gorenstein_watanabe(data, kernel):
         return NOT_LCI, REASON_NOT_GORENSTEIN
-    if kd.min_support is not None and kd.min_support >= 3:
+    if kernel.min_support is not None and kernel.min_support >= 3:
         return NOT_LCI, REASON_RIGID_QUOTIENT
     if data.size == 2:
         return LCI, REASON_A_TYPE_SURFACE
-    if kd.min_support is None:
+    if kernel.min_support is None:
         return UNKNOWN, REASON_LIMIT
     return UNKNOWN, REASON_OPEN_CASE
-
-
-def smoothness_check(data: CombinatorialData) -> str:
-    """Smooth-conditional iff the sum map is injective (which covers the
-    unramified empty-data case); otherwise NotSmooth.  Conditional on the
-    branch divisors meeting like coordinate hyperplanes at the point; that
-    assumption is carried on every report."""
-    kd = kernel_K(data, enumeration_limit=0)
-    return SMOOTH_CONDITIONAL if kd.order == 1 else NOT_SMOOTH
 
 
 def classify(
@@ -188,37 +162,42 @@ def classify(
 ) -> ClassificationReport:
     """Full local classification of valid combinatorial data.
 
-    Factors the cover, runs every decider on the totally ramified part, and
-    asserts that all computed Gorenstein routes agree before reporting.  The
-    certificate is a character of the original ambient group.  Routes that
-    would exceed `fiber_order_limit` are recorded as skipped (None) rather
-    than aborting the report; the lift and SL routes always run.
+    Presents the sum map once, runs every decider from that presentation
+    (the fiber routes on the totally ramified part, through one fiber ring),
+    and asserts that all computed Gorenstein routes agree before reporting.
+    The lift solves its own congruences on the ambient group, so it stays an
+    independent check on the presentation; its certificate is a character
+    of the original ambient group.  Routes that would exceed
+    `fiber_order_limit` are recorded as skipped (None) rather than aborting
+    the report; the lift and SL routes always run.
     """
-    kd = kernel_K(data, enumeration_limit=enumeration_limit)
-    fact = ramification_factorization(data)
-    restricted = fact.restricted
+    presentation = ramification_factorization(data)
+    kd = kernel_K(data, presentation, enumeration_limit=enumeration_limit)
+    restricted = presentation.restricted
 
     certificate = gorenstein_lift(data)
-    watanabe = gorenstein_watanabe(data, kernel=kd)
+    watanabe = gorenstein_watanabe(data, kd)
     socle_ok: bool | None = None
     palindromic: bool | None = None
     if restricted.group.order <= fiber_order_limit:
         ring = build_fiber_ring(restricted, order_limit=fiber_order_limit)
         socle_ok = len(socle_basis(ring)) == 1
-        palindromic = hilbert_numerator(restricted, order_limit=fiber_order_limit).palindromic
+        palindromic = hilbert_numerator(ring).palindromic
 
     checks = GorensteinChecks(certificate is not None, watanabe, socle_ok, palindromic)
     if not checks.agree():
         raise CrossCheckError(f"Gorenstein deciders disagree: {checks}")
     gorenstein = certificate is not None
 
-    lci, lci_reason = lci_classify(data, enumeration_limit=enumeration_limit, kernel=kd)
+    lci, lci_reason = lci_classify(data, kd)
+    # Smooth-conditional iff the sum map is injective (which covers the
+    # unramified empty-data case), conditional on SMOOTHNESS_ASSUMPTION.
     smooth = SMOOTH_CONDITIONAL if kd.order == 1 else NOT_SMOOTH
 
     return ClassificationReport(
         locally_simple=kd.order == 1,
-        totally_ramified=fact.totally_ramified,
-        etale_index=fact.etale_index,
+        totally_ramified=presentation.totally_ramified,
+        etale_index=presentation.etale_index,
         kernel=kd,
         gorenstein=gorenstein,
         certificate=certificate,

@@ -38,7 +38,8 @@ EXIT_LIMIT = 2
 
 
 class DocumentError(ValueError):
-    """Syntax or schema problem in an input document, with its location."""
+    """Problem in the input (the document's syntax or schema, or a command
+    line value), with its location."""
 
     def __init__(self, location: str, message: str):
         self.location = location
@@ -96,6 +97,11 @@ def parse_input(text: str) -> CoverDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except ValueError:
+        # Python refuses to convert integer literals past its digit limit.
+        raise DocumentError("$", "integer literal has too many digits") from None
+    except RecursionError:
+        raise DocumentError("$", "document is nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("$", "document must be a JSON object")
     unknown = sorted(set(obj) - {"group", "branch"})
@@ -488,14 +494,14 @@ def cmd_fiber(doc: CoverDocument, *, table: bool = False,
         data = _validated(doc)
     except InvalidCoverData as exc:
         return f"invalid cover data: {exc}\n", EXIT_INVALID
-    fact = ramification_factorization(data)
+    presentation = ramification_factorization(data)
     lines = []
-    if fact.etale_index > 1:
+    if presentation.etale_index > 1:
         lines.append(
-            f"etale index {fact.etale_index}: the fiber is {fact.etale_index} "
-            "disjoint copies of the totally ramified fiber below")
+            f"etale index {presentation.etale_index}: the fiber is "
+            f"{presentation.etale_index} disjoint copies of the totally ramified fiber below")
     try:
-        ring = build_fiber_ring(fact.restricted, order_limit=max_order)
+        ring = build_fiber_ring(presentation.restricted, order_limit=max_order)
     except LimitExceeded as exc:
         return f"limit exceeded: {exc}\n", EXIT_LIMIT
     lines.append(f"fiber ring dimension: {ring.dimension}")
@@ -518,9 +524,8 @@ def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT)
         data = _validated(doc)
     except InvalidCoverData as exc:
         return f"invalid cover data: {exc}\n", EXIT_INVALID
-    fact = ramification_factorization(data)
     try:
-        ring = build_fiber_ring(fact.restricted, order_limit=max_order)
+        ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
     except LimitExceeded as exc:
         return f"limit exceeded: {exc}\n", EXIT_LIMIT
     basis = socle_basis(ring)
@@ -533,14 +538,21 @@ def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT)
 
 def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
                 max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+    if max_degree < 0:
+        raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
     try:
         data = _validated(doc)
     except InvalidCoverData as exc:
         return f"invalid cover data: {exc}\n", EXIT_INVALID
-    fact = ramification_factorization(data)
+    presentation = ramification_factorization(data)
     try:
-        numerator = hilbert_numerator(fact.restricted, order_limit=max_order)
-        monomials = invariant_monomials_up_to_degree(fact.restricted, max_degree)
+        numerator = hilbert_numerator(
+            build_fiber_ring(presentation.restricted, order_limit=max_order))
+        # Restriction rescales each generator g_i and its character residue
+        # a_i by one unit u_i, hence the kernel coordinates t_i by 1/u_i:
+        # every t_i a_i, and so the monomial set, is that of the input.
+        monomials = invariant_monomials_up_to_degree(
+            data, max_degree, presentation=presentation)
     except LimitExceeded as exc:
         return f"limit exceeded: {exc}\n", EXIT_LIMIT
     lines = [
@@ -561,14 +573,14 @@ def cmd_factor(doc: CoverDocument) -> tuple[str, int]:
         data = _validated(doc)
     except InvalidCoverData as exc:
         return f"invalid cover data: {exc}\n", EXIT_INVALID
-    fact = ramification_factorization(data)
+    presentation = ramification_factorization(data)
     lines = [
-        f"image subgroup order: {fact.image_order}",
-        f"etale index: {fact.etale_index}",
-        f"totally ramified: {'yes' if fact.totally_ramified else 'no'}",
-        f"restricted group: {fact.restricted.group}",
+        f"image subgroup order: {presentation.image_order}",
+        f"etale index: {presentation.etale_index}",
+        f"totally ramified: {'yes' if presentation.totally_ramified else 'no'}",
+        f"restricted group: {presentation.restricted.group}",
     ]
-    for i, datum in enumerate(fact.restricted.branch):
+    for i, datum in enumerate(presentation.restricted.branch):
         lines.append(
             f"  [{i}] generator {datum.generator}  order {datum.order}"
             f"  character {datum.char_residue}/{datum.order}")

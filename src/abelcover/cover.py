@@ -1,5 +1,6 @@
-"""Combinatorial data of a cover at a point: validation, the sum map and its
-kernel, and the totally-ramified / etale factorization."""
+"""Combinatorial data of a cover at a point: validation, and the one
+presentation of the sum map that carries its kernel and the totally-ramified
+/ etale factorization."""
 
 from __future__ import annotations
 
@@ -12,10 +13,7 @@ from .groups import (
     Element,
     Hom,
     RootExponent,
-    _relation_matrix,
     closure,
-    image_subgroup,
-    kernel_generators,
     smith_normal_form,
 )
 
@@ -150,47 +148,21 @@ def sum_map(data: CombinatorialData) -> Hom:
 
 
 @dataclass(frozen=True)
-class KernelDescription:
-    """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s.
+class SumMapPresentation:
+    """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, presented once per input.
 
-    min_support is the least number of nonzero coordinates over the nonzero
-    elements of K; it is only trustworthy under full enumeration, so both
-    `elements` and `min_support` are None when the order exceeds the bound.
+    Every field comes from one Smith normal form of the relation matrix
+    [g_1 ... g_s | diag(m_1, ..., m_r)], plus one of the relation lattice
+    when nu is not surjective:
+
+    * K = ker(nu): generators (elements of H) and the order |H| / |M|;
+    * M = im(nu): its order and the etale index |T| = |G| / |M|;
+    * the branch data rewritten inside M, the totally ramified part of the
+      cover, which is the input itself when nu is surjective.
     """
 
-    generators: tuple[Element, ...]
-    order: int
-    min_support: int | None
-    elements: tuple[Element, ...] | None
-
-
-def kernel_K(data: CombinatorialData, *, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT) -> KernelDescription:
-    nu = sum_map(data)
-    gens, order = kernel_generators(nu)
-    elements = None
-    min_support = None
-    if order <= enumeration_limit:
-        tuples = closure(nu.source.moduli, (g.residues for g in gens), enumeration_limit)
-        elements = tuple(nu.source.element(t) for t in tuples)
-        if order > 1:
-            min_support = min(e.support for e in elements if not e.is_identity)
-    return KernelDescription(gens, order, min_support, elements)
-
-
-def is_locally_simple(data: CombinatorialData) -> bool:
-    """True iff the sum map is injective, i.e. K = 0."""
-    nu = sum_map(data)
-    _, image_order = image_subgroup(nu)
-    return image_order == nu.source.order
-
-
-@dataclass(frozen=True)
-class RamificationFactorization:
-    """Splitting of the cover at the point into a totally ramified part and an
-    etale part: M = im(nu) with its index |T| = |G| / |M|, and the branch data
-    rewritten inside M."""
-
-    image_generators: tuple[Element, ...]
+    kernel_gens: tuple[Element, ...]
+    kernel_order: int
     image_order: int
     etale_index: int
     restricted: CombinatorialData
@@ -200,38 +172,79 @@ class RamificationFactorization:
         return self.etale_index == 1
 
 
-def ramification_factorization(data: CombinatorialData) -> RamificationFactorization:
-    """Factor through the subgroup M generated by the inertia groups.
+def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
+    """Present the sum map of `data` and factor the cover through M = im(nu).
 
-    When nu is already surjective the restricted data is the input itself.
-    Otherwise M is presented abstractly through the Smith normal form of the
-    relation lattice {x in Z^s : sum x_i g_i = 0}, and each branch generator
-    is transported along the isomorphism Z^s / lattice ~ M.
+    The integer kernel of the relation matrix, cut down to its first s
+    coordinates, is the relation lattice {x in Z^s : sum x_i g_i = 0}; its
+    basis reduced mod the d_i generates K.  The diagonal block gives the
+    matrix full row rank r, so [G : M] is the product of its r invariant
+    factors.  When nu is not surjective, M is presented abstractly through
+    the Smith normal form of the lattice, and each branch generator is
+    transported along the isomorphism Z^s / lattice ~ M.
     """
     nu = sum_map(data)
-    image_gens, image_order = image_subgroup(nu)
+    s, r = data.size, data.group.rank
+    moduli = data.group.moduli
+    relations = [
+        [img.residues[k] for img in nu.images] + [m if j == k else 0 for j, m in enumerate(moduli)]
+        for k in range(r)
+    ]
+    _, D, V = smith_normal_form(relations)
+    image_order = data.group.order // prod(D[k][k] for k in range(r))
     etale_index = data.group.order // image_order
-    if etale_index == 1:
-        return RamificationFactorization(image_gens, image_order, 1, data)
+    # Columns r, ..., r + s - 1 of V span the integer kernel of the matrix.
+    lattice = [[V[i][k] for k in range(r, s + r)] for i in range(s)]
+    gens: list[Element] = []
+    for k in range(s):
+        e = nu.source.element([row[k] for row in lattice])
+        if not e.is_identity and e not in gens:
+            gens.append(e)
 
-    s = data.size
-    r = data.group.rank
-    _, D1, V1 = smith_normal_form(_relation_matrix(nu))
-    rank1 = sum(1 for k in range(r) if D1[k][k])
-    # x-parts of the kernel basis span the relation lattice (full rank s).
-    lattice = [[V1[i][k] for k in range(rank1, s + r)] for i in range(s)]
-    U2, D2, _ = smith_normal_form(lattice)
-    diag = [D2[i][i] for i in range(s)]
-    if prod(diag) != image_order:
-        raise ArithmeticError("image presentation disagrees with image order")
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    subgroup = AbelianGroup(tuple(diag[i] for i in kept))
-    new_branch = []
-    for j, datum in enumerate(data.branch):
-        residues = [U2[i][j] % diag[i] for i in kept]
-        moved = subgroup.element(residues)
-        if moved.order() != datum.order:
-            raise ArithmeticError("generator order changed under restriction")
-        new_branch.append(BranchDatum(moved, datum.char_residue).canonical())
-    restricted = CombinatorialData(subgroup, tuple(new_branch))
-    return RamificationFactorization(image_gens, image_order, etale_index, restricted)
+    restricted = data
+    if etale_index > 1:
+        U2, D2, _ = smith_normal_form(lattice)
+        diag = [D2[i][i] for i in range(s)]
+        if prod(diag) != image_order:
+            raise ArithmeticError("image presentation disagrees with image order")
+        kept = [i for i, d in enumerate(diag) if d > 1]
+        subgroup = AbelianGroup(tuple(diag[i] for i in kept))
+        new_branch = []
+        for j, datum in enumerate(data.branch):
+            moved = subgroup.element([U2[i][j] % diag[i] for i in kept])
+            if moved.order() != datum.order:
+                raise ArithmeticError("generator order changed under restriction")
+            new_branch.append(BranchDatum(moved, datum.char_residue).canonical())
+        restricted = CombinatorialData(subgroup, tuple(new_branch))
+    return SumMapPresentation(
+        tuple(gens), nu.source.order // image_order, image_order, etale_index, restricted)
+
+
+@dataclass(frozen=True)
+class KernelDescription:
+    """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s.
+
+    min_support is the least number of nonzero coordinates over the nonzero
+    elements of K; it is only trustworthy under full enumeration, so it is
+    None when K is trivial or its order exceeds the bound.
+    """
+
+    generators: tuple[Element, ...]
+    order: int
+    min_support: int | None
+
+
+def kernel_K(
+    data: CombinatorialData,
+    presentation: SumMapPresentation,
+    *,
+    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
+) -> KernelDescription:
+    """K as presented, with its minimal support when K has at most
+    `enumeration_limit` elements."""
+    gens, order = presentation.kernel_gens, presentation.kernel_order
+    min_support = None
+    if 1 < order <= enumeration_limit:
+        elements = closure(data.orders, (g.residues for g in gens), enumeration_limit)
+        min_support = min(sum(1 for x in t if x) for t in elements if any(t))
+    return KernelDescription(gens, order, min_support)

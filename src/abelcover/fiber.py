@@ -15,15 +15,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .groups import (
-    AbelianGroup,
-    Character,
-    DEFAULT_ENUMERATION_LIMIT,
-    LimitExceeded,
-    image_subgroup,
-    kernel_generators,
-)
-from .cover import CombinatorialData, sum_map
+from .groups import AbelianGroup, Character, DEFAULT_ENUMERATION_LIMIT, LimitExceeded
+from .cover import CombinatorialData, SumMapPresentation, ramification_factorization
 
 #: Largest group order for which the fiber ring is materialized.  The socle
 #: scan is quadratic in the order, so this sits far below the linear
@@ -31,14 +24,15 @@ from .cover import CombinatorialData, sum_map
 DEFAULT_FIBER_ORDER_LIMIT = 4096
 
 
+_NOT_TOTALLY_RAMIFIED = (
+    "data is not totally ramified; classify factors covers first "
+    "(ramification_factorization) and works on the restricted part"
+)
+
+
 def _require_totally_ramified(data: CombinatorialData) -> None:
-    nu = sum_map(data)
-    _, image_order = image_subgroup(nu)
-    if image_order != data.group.order:
-        raise ValueError(
-            "data is not totally ramified; classify factors covers first "
-            "(ramification_factorization) and works on the restricted part"
-        )
+    if not ramification_factorization(data).totally_ramified:
+        raise ValueError(_NOT_TOTALLY_RAMIFIED)
 
 
 class _AlphaTable:
@@ -46,8 +40,8 @@ class _AlphaTable:
 
     alpha_i solves psi_i^alpha_i = chi on H_i, computed as the discrete log
     of chi(g_i) against psi_i(g_i) = a_i/d_i.  Everything is cleared to the
-    common denominator L = lcm of the ambient moduli so no Fractions appear
-    in the per-character loop.
+    common denominator L = lcm of the ambient moduli, so the per-character
+    loop stays in integers.
     """
 
     def __init__(self, data: CombinatorialData):
@@ -146,8 +140,11 @@ class FiberRing:
 
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
-    """Construct the fiber ring of valid, totally ramified data."""
-    _require_totally_ramified(data)
+    """Construct the fiber ring of valid, totally ramified data.
+
+    alpha is injective exactly when the data is totally ramified: a
+    nontrivial character trivial on every H_i exists iff the H_i generate a
+    proper subgroup, and it shares the exponent vector of the identity."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
@@ -155,7 +152,7 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     characters = tuple(data.group.characters())
     alphas = tuple(table.alpha(chi.residues) for chi in characters)
     if len(set(alphas)) != n:
-        raise ArithmeticError("characters do not separate exponent vectors")
+        raise ValueError(_NOT_TOTALLY_RAMIFIED)
     return FiberRing(data.group, data.orders, characters, alphas)
 
 
@@ -208,17 +205,11 @@ class HilbertNumerator:
         return " + ".join(terms) if terms else "0"
 
 
-def hilbert_numerator(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> HilbertNumerator:
-    """Degree distribution of the w_chi basis for totally ramified data."""
-    _require_totally_ramified(data)
-    n = data.group.order
-    if n > order_limit:
-        raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
-    table = _AlphaTable(data)
-    top = sum(d - 1 for d in data.orders)
-    counts = [0] * (top + 1)
-    for chi in data.group.characters():
-        counts[sum(table.alpha(chi.residues))] += 1
+def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
+    """Degree distribution of the w_chi basis of the fiber ring."""
+    counts = [0] * (sum(d - 1 for d in ring.orders) + 1)
+    for degree in ring.degrees():
+        counts[degree] += 1
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return HilbertNumerator(tuple(counts))
@@ -245,12 +236,14 @@ def invariant_monomials_up_to_degree(
     data: CombinatorialData,
     max_degree: int = 12,
     *,
+    presentation: SumMapPresentation,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[tuple[int, ...]]:
     """All exponent vectors of K-invariant monomials of total degree up to
-    `max_degree`, by direct evaluation against the kernel generators: alpha is
-    invariant iff sum_i alpha_i t_i a_i / d_i is an integer for every kernel
-    generator (t_1, ..., t_s).  Sorted by degree, then lexicographically."""
+    `max_degree`, by direct evaluation against the kernel generators of the
+    presentation of `data`: alpha is invariant iff sum_i alpha_i t_i a_i / d_i
+    is an integer for every kernel generator (t_1, ..., t_s).  Sorted by
+    degree, then lexicographically."""
     s = data.size
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -259,13 +252,12 @@ def invariant_monomials_up_to_degree(
             f"enumerating exponents up to degree {max_degree} in {s} variables "
             f"exceeds the bound {enumeration_limit}"
         )
-    gens, _ = kernel_generators(sum_map(data))
     orders = data.orders
     L = lcm(*orders) if orders else 1
     weights = [
         [(k.residues[i] * data.branch[i].char_residue * (L // orders[i])) % L
          for i in range(s)]
-        for k in gens
+        for k in presentation.kernel_gens
     ]
     out = []
     for alpha in _exponents_up_to(s, max_degree):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 #: Cap on operations that walk a group or subgroup element by element.
@@ -142,17 +141,20 @@ class RootExponent:
     den: int = 1
 
     def __post_init__(self):
-        f = Fraction(self.num, self.den) % 1
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
+        num, den = self.num, self.den
+        if den < 0:
+            num, den = -num, -den
+        num %= den
+        g = gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     @property
     def is_zero(self) -> bool:
         return self.num == 0
 
     def __add__(self, other: "RootExponent") -> "RootExponent":
-        f = Fraction(self.num, self.den) + Fraction(other.num, other.den)
-        return RootExponent(f.numerator, f.denominator)
+        return RootExponent(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RootExponent":
         return RootExponent(-self.num, self.den)
@@ -164,9 +166,6 @@ class RootExponent:
         return RootExponent(self.num * k, self.den)
 
     __rmul__ = __mul__
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
@@ -281,21 +280,12 @@ class Element:
     def is_identity(self) -> bool:
         return all(r == 0 for r in self.residues)
 
-    @property
-    def support(self) -> int:
-        """Number of nonzero coordinates."""
-        return sum(1 for r in self.residues if r)
-
     def order(self) -> int:
         """Smallest n >= 1 with n*self = 0, via lcm of coordinate orders."""
         return lcm(*(m // gcd(r, m) for r, m in zip(self.residues, self.group.moduli)))
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
-
-
-def element_order(e: Element) -> int:
-    return e.order()
 
 
 @dataclass(frozen=True)
@@ -317,10 +307,10 @@ class Character:
     def __call__(self, e: Element) -> RootExponent:
         if e.group != self.group:
             raise ValueError("element of a different group")
-        total = Fraction(0)
-        for c, x, m in zip(self.residues, e.residues, self.group.moduli):
-            total += Fraction(c * x, m)
-        return RootExponent(total.numerator, total.denominator)
+        moduli = self.group.moduli
+        L = lcm(*moduli)
+        total = sum(c * x * (L // m) for c, x, m in zip(self.residues, e.residues, moduli))
+        return RootExponent(total, L)
 
     def __mul__(self, other: "Character") -> "Character":
         if other.group != self.group:
@@ -336,11 +326,6 @@ class Character:
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
-
-
-def restrict_character(chi: Character, g: Element) -> RootExponent:
-    """chi(g); the restriction of chi to <g> is determined by this value."""
-    return chi(g)
 
 
 @dataclass(frozen=True)
@@ -375,58 +360,6 @@ class Hom:
         for x, img in zip(e.residues, self.images):
             out = out + x * img
         return out
-
-
-def _relation_matrix(f: Hom) -> list[list[int]]:
-    """Columns: images of the source generators, then the target relations."""
-    s, r = f.source.rank, f.target.rank
-    B = [[0] * (s + r) for _ in range(r)]
-    for j, img in enumerate(f.images):
-        for k in range(r):
-            B[k][j] = img.residues[k]
-    for k in range(r):
-        B[k][s + k] = f.target.moduli[k]
-    return B
-
-
-def _image_order(f: Hom) -> int:
-    r = f.target.rank
-    if r == 0:
-        return 1
-    _, D, _ = smith_normal_form(_relation_matrix(f))
-    covolume = prod(D[k][k] for k in range(r))
-    return f.target.order // covolume
-
-
-def kernel_generators(f: Hom) -> tuple[tuple[Element, ...], int]:
-    """Generators of ker f and its order |source| / |image f|."""
-    s, r = f.source.rank, f.target.rank
-    if s == 0:
-        return (), 1
-    if r == 0:
-        return f.source.generators(), f.source.order
-    U, D, V = smith_normal_form(_relation_matrix(f))
-    rank = sum(1 for k in range(r) if D[k][k])
-    gens: list[Element] = []
-    seen: set[tuple[int, ...]] = set()
-    for k in range(rank, s + r):
-        e = f.source.element([V[i][k] for i in range(s)])
-        if not e.is_identity and e.residues not in seen:
-            seen.add(e.residues)
-            gens.append(e)
-    image_order = f.target.order // prod(D[k][k] for k in range(rank))
-    return tuple(gens), f.source.order // image_order
-
-
-def image_subgroup(f: Hom) -> tuple[tuple[Element, ...], int]:
-    """Generators of im f (the nonzero generator images) and its order."""
-    gens: list[Element] = []
-    seen: set[tuple[int, ...]] = set()
-    for img in f.images:
-        if not img.is_identity and img.residues not in seen:
-            seen.add(img.residues)
-            gens.append(img)
-    return tuple(gens), _image_order(f)
 
 
 def closure(moduli: tuple[int, ...], generators, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[tuple[int, ...]]:

@@ -17,10 +17,9 @@ from abelcover import (
     Hom,
     InvalidCoverData,
     RootExponent,
-    image_subgroup,
-    sum_map,
     validate,
 )
+from abelcover.groups import closure
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,8 @@ def random_data(
         except InvalidCoverData:
             continue
         if require_total:
-            _, image_order = image_subgroup(sum_map(data))
-            if image_order != group.order:
+            gens = [datum.generator.residues for datum in data.branch]
+            if len(closure(group.moduli, gens)) != group.order:
                 continue
         return data
     raise RuntimeError(f"failed to sample data over {group}")

@@ -20,7 +20,9 @@ from abelcover import (
     invariant_monomials_up_to_degree,
     kernel_K,
     lci_classify,
+    ramification_factorization,
 )
+from abelcover.groups import closure
 from abelcover.classify import REASON_A_TYPE_SURFACE, REASON_RIGID_QUOTIENT
 from abelcover.cli import cmd_example_run, EXIT_OK
 from helpers import (
@@ -78,7 +80,7 @@ def test_criterion_2_zpqr_criterion_sweep():
     for alpha in alphas:
         for beta in betas:
             data = zpqr_data(p, q, r, alpha, beta)
-            kd = kernel_K(data)
+            kd = kernel_K(data, ramification_factorization(data))
             if kd.order != p:
                 failures.append(f"({alpha},{beta}): kernel order {kd.order} != {p}")
             expected = (alpha - beta) % p == 0
@@ -87,7 +89,7 @@ def test_criterion_2_zpqr_criterion_sweep():
                 failures.append(
                     f"({alpha},{beta}): gorenstein {cert is not None}, expected {expected}")
             if expected:
-                verdict = lci_classify(data, kernel=kd)
+                verdict = lci_classify(data, kd)
                 if verdict != (LCI, REASON_A_TYPE_SURFACE):
                     failures.append(f"({alpha},{beta}): lci verdict {verdict}")
             spot += 1
@@ -203,15 +205,16 @@ def test_criterion_7_invariant_monoid_cross_checks():
     runs = 0
     while runs < 100 and not failures:
         data = random_total_data(rng, max_order=64, max_branch=4, max_H=400)
-        monomials = invariant_monomials_up_to_degree(data, 12)
+        monomials = invariant_monomials_up_to_degree(
+            data, 12, presentation=ramification_factorization(data))
         counts = [0] * 13
         for alpha in monomials:
             counts[sum(alpha)] += 1
-        numerator = hilbert_numerator(data)
+        ring = build_fiber_ring(data)
+        numerator = hilbert_numerator(ring)
         expected = series_counts(numerator.coefficients, data.orders, 12)
         if counts != expected:
             failures.append(f"counts {counts} != series {expected} on {data}")
-        ring = build_fiber_ring(data)
         alpha_set = set(ring.alphas)
         members = set(monomials)
         bound = 6 if data.size >= 4 else 8
@@ -238,19 +241,21 @@ def test_criterion_8_kernel_support_properties():
         group = AbelianGroup((p,) * n)
         corpus.append(random_data(rng, group, max_branch=max(1, min(6, p ** n - 1))))
     for data in corpus:
-        kd = kernel_K(data)
-        if kd.elements is None:
+        kd = kernel_K(data, ramification_factorization(data))
+        if kd.order > 1 and kd.min_support is None:
             failures.append(f"kernel not enumerated on {data}")
             break
-        for e in kd.elements:
-            if not e.is_identity and e.support < 2:
-                failures.append(f"kernel support {e.support} < 2 at {e} on {data}")
+        supports = [sum(1 for x in e if x)
+                    for e in closure(data.orders, [g.residues for g in kd.generators])]
+        for support in supports:
+            if 0 < support < 2:
+                failures.append(f"kernel support {support} < 2 on {data}")
         if kd.order > 1 and gorenstein_lift(data) is not None:
             gorenstein_nonsimple += 1
-            for e in kd.elements:
-                if not e.is_identity and e.support < 3:
+            for support in supports:
+                if 0 < support < 3:
                     failures.append(
-                        f"elementary Gorenstein kernel support {e.support} < 3 on {data}")
+                        f"elementary Gorenstein kernel support {support} < 3 on {data}")
         if failures:
             break
     if not failures and gorenstein_nonsimple < 5:

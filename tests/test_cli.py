@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,9 @@ Z3_TWO_DATUM_TEXT = json.dumps({
         {"generator": [1], "character": 2},
     ],
 })
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 REPORT_KEYS = [
     "locally_simple", "totally_ramified", "etale_index", "kernel",
@@ -239,3 +243,46 @@ class TestMain:
     def test_missing_file(self, capsys):
         assert main(["classify", "/no/such/file.json"]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+    def _single_error_line(self, capsys) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_integer_past_digit_limit(self, capsys, monkeypatch):
+        import io
+        text = '{"group": [' + "7" * 5000 + '], "branch": []}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify"]) == EXIT_INVALID
+        assert self._single_error_line(capsys).startswith("error: $: ")
+
+    def test_nesting_past_recursion_limit(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10**5))
+        assert main(["classify"]) == EXIT_INVALID
+        assert self._single_error_line(capsys).startswith("error: $: ")
+
+    def test_negative_max_degree(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
+        assert main(["hilbert", "--max-degree", "-1"]) == EXIT_INVALID
+        assert self._single_error_line(capsys).startswith("error: --max-degree: ")
+
+
+class TestGolden:
+    """Byte-for-byte CLI output on fixed documents: the registry examples at
+    their defaults, a partially ramified point (Z/105 with one line through
+    5) and a totally ramified point over the fiber bound ((Z/2)^13 with the
+    coordinate lines and the diagonal).  The captures are the behaviour
+    contract of the text and JSON reports; they are never regenerated to
+    follow a code change."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CASES, ids=[c["stdout"].removesuffix(".out") for c in GOLDEN_CASES])
+    def test_stdout_and_exit_code(self, case, capsys):
+        code = main(case["args"] + [str(GOLDEN / case["document"])])
+        captured = capsys.readouterr()
+        assert code == case["exit"]
+        assert captured.err == ""
+        assert captured.out == (GOLDEN / case["stdout"]).read_bytes().decode("utf-8")

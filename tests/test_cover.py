@@ -2,6 +2,7 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abelcover import (
     AbelianGroup,
@@ -9,15 +10,16 @@ from abelcover import (
     CombinatorialData,
     InvalidCoverData,
     enumerate_subgroup,
-    image_subgroup,
-    is_locally_simple,
     kernel_K,
     ramification_factorization,
     sum_map,
     validate,
 )
 from abelcover.classify import gorenstein_lift
+from abelcover.groups import closure
 from helpers import (
+    brute_image,
+    brute_kernel,
     random_data,
     random_group,
     single_datum_z105,
@@ -25,6 +27,15 @@ from helpers import (
     z3sq_gorenstein,
     zpqr_data,
 )
+
+
+def kernel_of(data, **limits):
+    return kernel_K(data, ramification_factorization(data), **limits)
+
+
+def kernel_elements(data, kd):
+    """All elements of K as residue tuples, enumerated from its generators."""
+    return closure(data.orders, [g.residues for g in kd.generators])
 
 
 class TestValidate:
@@ -132,51 +143,51 @@ class TestKernelK:
         G = AbelianGroup((2, 2))
         e1, e2 = G.generators()
         data = validate(CombinatorialData(G, (BranchDatum(e1, 1), BranchDatum(e2, 1))))
-        kd = kernel_K(data)
+        kd = kernel_of(data)
         assert kd.order == 1
         assert kd.min_support is None
 
     def test_z2cubed(self):
-        kd = kernel_K(z2cubed_data())
+        data = z2cubed_data()
+        kd = kernel_of(data)
         assert kd.order == 2
         assert {g.residues for g in kd.generators} == {(1, 1, 1, 1)}
         assert kd.min_support == 4
-        assert len(kd.elements) == 2
+        assert len(kernel_elements(data, kd)) == 2
 
     def test_zpqr_instance(self):
-        kd = kernel_K(zpqr_data())
+        kd = kernel_of(zpqr_data())
         assert kd.order == 3
 
     def test_enumeration_respects_limit(self):
-        kd = kernel_K(z2cubed_data(), enumeration_limit=1)
+        kd = kernel_of(z2cubed_data(), enumeration_limit=1)
         assert kd.order == 2
         assert kd.generators  # still reported
-        assert kd.elements is None and kd.min_support is None
+        assert kd.min_support is None
 
 
 class TestLocallySimple:
+    """Locally simple means K = 0."""
+
     def test_standard_generators(self):
         for p, n in ((2, 3), (3, 2), (5, 2)):
             G = AbelianGroup((p,) * n)
             data = validate(CombinatorialData(
                 G, tuple(BranchDatum(g, 1) for g in G.generators())))
-            assert is_locally_simple(data)
+            assert kernel_of(data).order == 1
 
     def test_z2cubed_not_simple(self):
-        assert not is_locally_simple(z2cubed_data())
+        assert kernel_of(z2cubed_data()).order != 1
 
     def test_empty_branch(self):
-        assert is_locally_simple(CombinatorialData(AbelianGroup((4,)), ()))
+        assert kernel_of(CombinatorialData(AbelianGroup((4,)), ())).order == 1
 
     def test_matches_kernel_order_and_size_count(self):
         rng = random.Random(11)
         for _ in range(30):
             data = random_data(rng, random_group(rng, max_order=256), max_branch=4)
-            kd = kernel_K(data)
-            simple = is_locally_simple(data)
-            assert simple == (kd.order == 1)
-            _, image_order = image_subgroup(sum_map(data))
-            assert simple == (image_order == prod(data.orders))
+            simple = kernel_of(data).order == 1
+            assert simple == (len(brute_image(sum_map(data))) == prod(data.orders))
 
 
 class TestRamificationFactorization:
@@ -214,8 +225,8 @@ class TestRamificationFactorization:
             assert again.etale_index == 1
             assert again.restricted == fact.restricted
             # kernel and local verdict data survive the restriction
-            assert kernel_K(fact.restricted).order == kernel_K(data).order
-            assert is_locally_simple(fact.restricted) == is_locally_simple(data)
+            assert again.kernel_order == fact.kernel_order
+            assert kernel_of(fact.restricted).min_support == kernel_of(data).min_support
 
 
 class TestKernelSupports:
@@ -223,20 +234,18 @@ class TestKernelSupports:
         rng = random.Random(31)
         for _ in range(40):
             data = random_data(rng, random_group(rng, max_order=256), max_branch=5)
-            kd = kernel_K(data)
-            assert kd.elements is not None
-            for e in kd.elements:
-                if not e.is_identity:
-                    assert e.support >= 2
+            kd = kernel_of(data)
+            assert kd.order == 1 or kd.min_support is not None
+            for e in kernel_elements(data, kd):
+                assert not any(e) or sum(1 for x in e if x) >= 2
 
     def test_elementary_gorenstein_supports_at_least_three(self):
         for data in (z2cubed_data(), z3sq_gorenstein()):
             assert gorenstein_lift(data) is not None
-            kd = kernel_K(data)
+            kd = kernel_of(data)
             assert kd.order > 1
-            for e in kd.elements:
-                if not e.is_identity:
-                    assert e.support >= 3
+            for e in kernel_elements(data, kd):
+                assert not any(e) or sum(1 for x in e if x) >= 3
 
     def test_elementary_gorenstein_subgroups_meet_trivially(self):
         for data in (z2cubed_data(), z3sq_gorenstein()):
@@ -249,3 +258,23 @@ class TestKernelSupports:
                 for j in range(i + 1, len(subgroups)):
                     meet = subgroups[i] & subgroups[j]
                     assert meet == {data.group.identity().residues}
+
+
+class TestSumMapPresentation:
+    """The one presentation of nu against brute-force enumeration."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        data = random_data(rng, random_group(rng, max_order=512), max_branch=4, max_H=5000)
+        nu = sum_map(data)
+        pres = ramification_factorization(data)
+        kernel = brute_kernel(nu)
+        assert pres.kernel_order == len(kernel)
+        assert set(closure(data.orders, [g.residues for g in pres.kernel_gens])) == kernel
+        assert pres.image_order == len(brute_image(nu))
+        assert pres.etale_index * pres.image_order == data.group.order
+        restricted = pres.restricted
+        assert restricted.group.order == pres.image_order
+        assert restricted.orders == data.orders
+        assert pres.totally_ramified == (restricted == data)

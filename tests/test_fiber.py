@@ -15,6 +15,7 @@ from abelcover import (
     epsilon,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
+    ramification_factorization,
     socle_basis,
     validate,
 )
@@ -28,6 +29,11 @@ from helpers import (
     z3_two_datum,
     zpqr_data,
 )
+
+
+def monomials(data, max_degree, **limits):
+    return invariant_monomials_up_to_degree(
+        data, max_degree, presentation=ramification_factorization(data), **limits)
 
 
 def toy_z2sq():
@@ -244,19 +250,19 @@ class TestHilbertNumerator:
             BranchDatum(G.element((3,)), 1),
             BranchDatum(G.element((2,)), 1),
         )))
-        numerator = hilbert_numerator(data)
+        numerator = hilbert_numerator(build_fiber_ring(data))
         # (1 + t)(1 + t + t^2)
         assert numerator.coefficients == (1, 2, 2, 1)
         assert numerator.palindromic
 
     def test_z2cubed(self):
-        numerator = hilbert_numerator(z2cubed_data())
+        numerator = hilbert_numerator(build_fiber_ring(z2cubed_data()))
         assert numerator.coefficients == (1, 0, 6, 0, 1)
         assert numerator.palindromic
         assert str(numerator) == "1 + 6*t^2 + t^4"
 
     def test_z3_two_datum(self):
-        numerator = hilbert_numerator(z3_two_datum())
+        numerator = hilbert_numerator(build_fiber_ring(z3_two_datum()))
         assert numerator.coefficients == (1, 0, 0, 2)
         assert not numerator.palindromic
 
@@ -264,7 +270,7 @@ class TestHilbertNumerator:
         rng = random.Random(59)
         for _ in range(15):
             data = random_total_data(rng, max_order=128, max_branch=4)
-            numerator = hilbert_numerator(data)
+            numerator = hilbert_numerator(build_fiber_ring(data))
             assert sum(numerator.coefficients) == data.group.order
             assert numerator.degree <= sum(d - 1 for d in data.orders)
             assert numerator.coefficients[0] == 1
@@ -272,20 +278,20 @@ class TestHilbertNumerator:
 
 class TestInvariantMonomials:
     def test_degree_zero(self):
-        assert invariant_monomials_up_to_degree(z2cubed_data(), 0) == [(0, 0, 0, 0)]
+        assert monomials(z2cubed_data(), 0) == [(0, 0, 0, 0)]
 
     def test_z3_two_datum(self):
-        got = invariant_monomials_up_to_degree(z3_two_datum(), 3)
+        got = monomials(z3_two_datum(), 3)
         assert set(got) == {(0, 0), (3, 0), (0, 3), (1, 2), (2, 1)}
 
     def test_trivial_kernel_all_monomials(self):
         data = dual_numbers_data()
-        got = invariant_monomials_up_to_degree(data, 2)
+        got = monomials(data, 2)
         assert got == [(0,), (1,), (2,)]
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):
-            invariant_monomials_up_to_degree(z2cubed_data(), 12, enumeration_limit=10)
+            monomials(z2cubed_data(), 12, enumeration_limit=10)
 
     def test_membership_matches_character_description(self):
         rng = random.Random(47)
@@ -293,7 +299,7 @@ class TestInvariantMonomials:
             data = random_total_data(rng, max_order=64, max_branch=3, max_H=500)
             ring = build_fiber_ring(data)
             alpha_set = set(ring.alphas)
-            members = set(invariant_monomials_up_to_degree(data, 8))
+            members = set(monomials(data, 8))
             orders = data.orders
             for alpha in product(*(range(9) for _ in orders)):
                 if sum(alpha) > 8:
@@ -305,9 +311,9 @@ class TestInvariantMonomials:
         rng = random.Random(53)
         for _ in range(10):
             data = random_total_data(rng, max_order=64, max_branch=3, max_H=500)
-            numerator = hilbert_numerator(data)
+            numerator = hilbert_numerator(build_fiber_ring(data))
             expected = series_counts(numerator.coefficients, data.orders, 12)
             counts = [0] * 13
-            for alpha in invariant_monomials_up_to_degree(data, 12):
+            for alpha in monomials(data, 12):
                 counts[sum(alpha)] += 1
             assert counts == expected
