@@ -37,9 +37,7 @@ from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
     FiberRing,
     HilbertNumerator,
-    alpha_exponents,
     build_fiber_ring,
-    epsilon,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     socle_basis,

@@ -461,6 +461,11 @@ def _validated(doc: CoverDocument) -> CombinatorialData:
     return validate(doc.to_data())
 
 
+def _check_max_order(max_order: int) -> None:
+    if max_order < 1:
+        raise DocumentError("--max-order", f"must be >= 1, got {max_order}")
+
+
 def cmd_validate(doc: CoverDocument) -> tuple[str, int]:
     try:
         data = _validated(doc)
@@ -478,6 +483,7 @@ def cmd_validate(doc: CoverDocument) -> tuple[str, int]:
 
 def cmd_classify(doc: CoverDocument, *, as_json: bool = False,
                  fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+    _check_max_order(fiber_order_limit)
     try:
         data = _validated(doc)
     except InvalidCoverData as exc:
@@ -490,6 +496,7 @@ def cmd_classify(doc: CoverDocument, *, as_json: bool = False,
 
 def cmd_fiber(doc: CoverDocument, *, table: bool = False,
               max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+    _check_max_order(max_order)
     try:
         data = _validated(doc)
     except InvalidCoverData as exc:
@@ -520,6 +527,7 @@ def cmd_fiber(doc: CoverDocument, *, table: bool = False,
 
 
 def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+    _check_max_order(max_order)
     try:
         data = _validated(doc)
     except InvalidCoverData as exc:
@@ -540,6 +548,7 @@ def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
                 max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
+    _check_max_order(max_order)
     try:
         data = _validated(doc)
     except InvalidCoverData as exc:

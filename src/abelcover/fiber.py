@@ -13,80 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, lcm
 
-import numpy as np
-
 from .groups import AbelianGroup, Character, DEFAULT_ENUMERATION_LIMIT, LimitExceeded
-from .cover import CombinatorialData, SumMapPresentation, ramification_factorization
+from .cover import CombinatorialData, SumMapPresentation
 
-#: Largest group order for which the fiber ring is materialized.  The socle
-#: scan is quadratic in the order, so this sits far below the linear
-#: enumeration limit.
+#: Largest group order for which the fiber ring is materialized.  The ring
+#: holds one character and one exponent vector per element of G, and
+#: `fiber --table` prints |G|^2 products.  The value is part of the report:
+#: above it the two fiber-ring Gorenstein cross-checks are recorded as
+#: skipped, so changing it changes reports.
 DEFAULT_FIBER_ORDER_LIMIT = 4096
-
-
-_NOT_TOTALLY_RAMIFIED = (
-    "data is not totally ramified; classify factors covers first "
-    "(ramification_factorization) and works on the restricted part"
-)
-
-
-def _require_totally_ramified(data: CombinatorialData) -> None:
-    if not ramification_factorization(data).totally_ramified:
-        raise ValueError(_NOT_TOTALLY_RAMIFIED)
-
-
-class _AlphaTable:
-    """Integer-only evaluation of the exponent vector of a character.
-
-    alpha_i solves psi_i^alpha_i = chi on H_i, computed as the discrete log
-    of chi(g_i) against psi_i(g_i) = a_i/d_i.  Everything is cleared to the
-    common denominator L = lcm of the ambient moduli, so the per-character
-    loop stays in integers.
-    """
-
-    def __init__(self, data: CombinatorialData):
-        moduli = data.group.moduli
-        self.orders = data.orders
-        self.L = lcm(*moduli) if moduli else 1
-        self.weights = [
-            [(datum.generator.residues[j] * (self.L // moduli[j])) % self.L
-             for j in range(len(moduli))]
-            for datum in data.branch
-        ]
-        self.inverses = [
-            pow(datum.char_residue, -1, datum.order) for datum in data.branch
-        ]
-
-    def alpha(self, residues: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for w, inv, d in zip(self.weights, self.inverses, self.orders):
-            t = sum(c * wj for c, wj in zip(residues, w)) % self.L
-            num = t * d
-            if num % self.L:
-                raise ArithmeticError("character value outside the inertia dual")
-            out.append((inv * (num // self.L)) % d)
-        return tuple(out)
-
-
-def alpha_exponents(data: CombinatorialData, chi: Character) -> tuple[int, ...]:
-    """The exponent vector of w_chi: alpha_i in [0, d_i) with
-    psi_i^alpha_i = chi restricted to H_i.  Data must be valid and totally
-    ramified."""
-    _require_totally_ramified(data)
-    if chi.group != data.group:
-        raise ValueError("character of a different group")
-    return _AlphaTable(data).alpha(chi.residues)
-
-
-def epsilon(data: CombinatorialData, chi: Character, chi2: Character) -> tuple[int, ...]:
-    """Carry digits floor((alpha_i + alpha_i') / d_i), each 0 or 1.  These are
-    the coefficients governing both the fiber product and the linear
-    equivalences of the global building data."""
-    _require_totally_ramified(data)
-    table = _AlphaTable(data)
-    a = table.alpha(chi.residues)
-    b = table.alpha(chi2.residues)
-    return tuple((x + y) // d for x, y, d in zip(a, b, data.orders))
 
 
 @dataclass(frozen=True)
@@ -142,35 +77,72 @@ class FiberRing:
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
     """Construct the fiber ring of valid, totally ramified data.
 
+    alpha_i(chi) solves psi_i^alpha_i = chi on H_i.  alpha is a homomorphism
+    from the character group to prod Z/d_i, so the table is filled in
+    lexicographic character order from the images of the unit characters
+    e_j: alpha(chi + e_j) = alpha(chi) + alpha(e_j) mod d, where
+    alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j) mod d_i.
+
     alpha is injective exactly when the data is totally ramified: a
     nontrivial character trivial on every H_i exists iff the H_i generate a
     proper subgroup, and it shares the exponent vector of the identity."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
-    table = _AlphaTable(data)
-    characters = tuple(data.group.characters())
-    alphas = tuple(table.alpha(chi.residues) for chi in characters)
+    orders = data.orders
+    alphas = [(0,) * data.size]
+    for j, m in enumerate(data.group.moduli):
+        step = []
+        for datum in data.branch:
+            d = datum.order
+            num = datum.generator.residues[j] * d
+            if num % m:
+                raise ArithmeticError("character value outside the inertia dual")
+            step.append(pow(datum.char_residue, -1, d) * (num // m) % d)
+        grown = []
+        for a in alphas:
+            for _ in range(m):
+                grown.append(a)
+                a = tuple((x + y) % d for x, y, d in zip(a, step, orders))
+        alphas = grown
     if len(set(alphas)) != n:
-        raise ValueError(_NOT_TOTALLY_RAMIFIED)
-    return FiberRing(data.group, data.orders, characters, alphas)
+        raise ValueError(
+            "data is not totally ramified; classify factors covers first "
+            "(ramification_factorization) and works on the restricted part")
+    return FiberRing(data.group, orders, tuple(data.group.characters()), tuple(alphas))
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:
     """Basis characters of the socle: those chi with w_chi * w_chi' = 0 for
     every nontrivial chi'.  Never empty; the ring is Gorenstein exactly when
-    this has one element."""
+    this has one element.
+
+    w_a is in the socle iff no other exponent vector of the ring dominates a
+    componentwise.  If w_a * w_b != 0 for a nontrivial b, then a + b is an
+    exponent vector dominating a.  Conversely, if c != a dominates a, then
+    c - a lies in the invariant lattice and in the box, so it is a
+    nontrivial b with w_a * w_b = w_c != 0.
+
+    The dominance test runs on bitsets over the basis indices: at[i][v] holds
+    the indices k with alphas[k][i] >= v, and k is in the socle iff no index
+    but k survives the AND over i of at[i][alphas[k][i]]."""
     n = ring.dimension
-    if n == 1:
-        return [ring.characters[0]]
-    A = np.array(ring.alphas, dtype=np.int64)
-    d = np.array(ring.orders, dtype=np.int64)
-    nontrivial = A[1:]
+    at = []
+    for i, d in enumerate(ring.orders):
+        masks = [0] * (d + 1)
+        for k, a in enumerate(ring.alphas):
+            masks[a[i]] |= 1 << k
+        for v in range(d - 1, -1, -1):
+            masks[v] |= masks[v + 1]
+        at.append(masks)
+    everyone = (1 << n) - 1
     out = []
-    for j in range(n):
-        room = d - A[j]
-        if not (nontrivial < room).all(axis=1).any():
-            out.append(ring.characters[j])
+    for k, a in enumerate(ring.alphas):
+        others = everyone ^ (1 << k)
+        for masks, x in zip(at, a):
+            others &= masks[x]
+        if not others:
+            out.append(ring.characters[k])
     return out
 
 

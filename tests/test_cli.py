@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -268,6 +271,28 @@ class TestMain:
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
         assert main(["hilbert", "--max-degree", "-1"]) == EXIT_INVALID
         assert self._single_error_line(capsys).startswith("error: --max-degree: ")
+
+    @pytest.mark.parametrize("command", ["classify", "fiber", "socle", "hilbert"])
+    def test_max_order_below_one(self, command, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
+        assert main([command, "--max-order", "0"]) == EXIT_INVALID
+        assert self._single_error_line(capsys) == "error: --max-order: must be >= 1, got 0\n"
+
+    def test_import_loads_only_the_standard_library(self):
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import abelcover.cli\n"
+            "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(tops - set(sys.stdlib_module_names) - {'abelcover'}))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
 
 class TestGolden:

@@ -1,7 +1,7 @@
 import random
 from itertools import product
+from time import perf_counter
 
-import numpy as np
 import pytest
 
 from abelcover import (
@@ -10,9 +10,7 @@ from abelcover import (
     CombinatorialData,
     LimitExceeded,
     RootExponent,
-    alpha_exponents,
     build_fiber_ring,
-    epsilon,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     ramification_factorization,
@@ -36,65 +34,84 @@ def monomials(data, max_degree, **limits):
         data, max_degree, presentation=ramification_factorization(data), **limits)
 
 
+def elementary_lines(rng, r, extra):
+    """(Z/2)^r with the r coordinate lines and `extra` more distinct random
+    nonzero lines (as many as exist, if fewer)."""
+    G = AbelianGroup((2,) * r)
+    coordinate = list(G.generators())
+    others = [e for e in G.elements() if sum(e.residues) > 1]
+    lines = coordinate + rng.sample(others, min(extra, len(others)))
+    return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
+
+
 def toy_z2sq():
     G = AbelianGroup((2, 2))
     e1, e2 = G.generators()
     return validate(CombinatorialData(G, (BranchDatum(e1, 1), BranchDatum(e2, 1))))
 
 
+def carries(ring, chi, chi2):
+    """floor((alpha_i + alpha_i') / d_i), each 0 or 1: the overflow digits
+    behind both the fiber product and the linear equivalences of the global
+    building data."""
+    return tuple((x + y) // d
+                 for x, y, d in zip(ring.alpha(chi), ring.alpha(chi2), ring.orders))
+
+
 class TestAlphaExponents:
     def test_trivial_character(self):
         data = z2cubed_data()
-        assert alpha_exponents(data, data.group.trivial_character()) == (0, 0, 0, 0)
+        ring = build_fiber_ring(data)
+        assert ring.alpha(data.group.trivial_character()) == (0, 0, 0, 0)
 
     def test_z2cubed_lift(self):
         data = z2cubed_data()
-        assert alpha_exponents(data, data.group.character((1, 1, 1))) == (1, 1, 1, 1)
+        ring = build_fiber_ring(data)
+        assert ring.alpha(data.group.character((1, 1, 1))) == (1, 1, 1, 1)
 
     def test_z3_two_datum(self):
         data = z3_two_datum()
-        assert alpha_exponents(data, data.group.character((1,))) == (1, 2)
-
-    def test_requires_totally_ramified(self):
-        G = AbelianGroup((105,))
-        data = validate(CombinatorialData(G, (BranchDatum(G.element((5,)), 1),)))
-        with pytest.raises(ValueError):
-            alpha_exponents(data, G.trivial_character())
+        assert build_fiber_ring(data).alpha(data.group.character((1,))) == (1, 2)
 
 
 class TestEpsilon:
     def test_trivial_partner(self):
         data = z2cubed_data()
+        ring = build_fiber_ring(data)
         chi = data.group.character((1, 1, 0))
-        assert epsilon(data, chi, data.group.trivial_character()) == (0, 0, 0, 0)
+        assert carries(ring, chi, data.group.trivial_character()) == (0, 0, 0, 0)
 
     def test_floor_arithmetic(self):
         data = toy_z2sq()
+        ring = build_fiber_ring(data)
         chi = data.group.character((1, 1))
         chi2 = data.group.character((1, 0))
-        assert epsilon(data, chi, chi2) == (1, 0)
+        assert carries(ring, chi, chi2) == (1, 0)
 
     def test_z2cubed_square(self):
         data = z2cubed_data()
+        ring = build_fiber_ring(data)
         chi = data.group.character((1, 1, 1))
-        assert epsilon(data, chi, chi) == (1, 1, 1, 1)
+        assert carries(ring, chi, chi) == (1, 1, 1, 1)
 
     def test_agrees_with_scan_logarithms(self):
-        # Same carries from independently scanned restriction exponents.
+        # The additively filled table against independently scanned
+        # restriction exponents, for every character; carries likewise.
         rng = random.Random(5)
         for _ in range(10):
             data = random_total_data(rng, max_order=48, max_branch=4)
-            G = data.group
-            chars = list(G.characters())
-            chi = rng.choice(chars)
-            chi2 = rng.choice(chars)
-            scans = []
-            for datum in data.branch:
-                base = RootExponent(datum.char_residue, datum.order)
-                i1 = brute_discrete_log(base, chi(datum.generator), datum.order)
-                i2 = brute_discrete_log(base, chi2(datum.generator), datum.order)
-                scans.append((i1 + i2) // datum.order)
-            assert epsilon(data, chi, chi2) == tuple(scans)
+            ring = build_fiber_ring(data)
+            bases = [RootExponent(datum.char_residue, datum.order) for datum in data.branch]
+
+            def scan(chi):
+                return tuple(brute_discrete_log(base, chi(datum.generator), datum.order)
+                             for base, datum in zip(bases, data.branch))
+
+            for chi in ring.characters:
+                assert ring.alpha(chi) == scan(chi)
+            chi, chi2 = rng.choice(ring.characters), rng.choice(ring.characters)
+            expected = tuple((x + y) // d for x, y, d in zip(scan(chi), scan(chi2), data.orders))
+            assert carries(ring, chi, chi2) == expected
 
 
 class TestFiberRing:
@@ -124,7 +141,7 @@ class TestFiberRing:
     def test_rejects_partial_ramification(self):
         G = AbelianGroup((105,))
         data = validate(CombinatorialData(G, (BranchDatum(G.element((5,)), 1),)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not totally ramified"):
             build_fiber_ring(data)
 
     def test_order_limit(self):
@@ -148,7 +165,7 @@ class TestFiberRing:
             for i in range(n):
                 for j in range(n):
                     k = ring.product_index(i, j)
-                    eps = epsilon(data, ring.characters[i], ring.characters[j])
+                    eps = carries(ring, ring.characters[i], ring.characters[j])
                     if k is None:
                         assert any(e == 1 for e in eps)
                     else:
@@ -158,23 +175,18 @@ class TestFiberRing:
 
 def ring_axioms_hold(ring):
     """Exhaustive identity/commutativity/associativity check via the product
-    table, with a sentinel index for the zero product."""
+    table, with a sentinel index n for the zero product."""
     n = ring.dimension
-    table = ring.product_table()
-    P = np.full((n + 1, n + 1), n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            v = table[i][j]
-            P[i, j] = n if v is None else v
-    X = P[:n, :n]
-    ids = np.arange(n)
-    if not (X[0] == ids).all() or not (X[:, 0] == ids).all():
+    table = [[n if v is None else v for v in row] + [n]
+             for row in ring.product_table()]
+    table.append([n] * (n + 1))
+    ids = list(range(n))
+    if table[0][:n] != ids or [row[0] for row in table[:n]] != ids:
         return False
-    if not (X == X.T).all():
+    if any(table[i][j] != table[j][i] for i in range(n) for j in range(i)):
         return False
-    left = P[X[:, :, None], ids[None, None, :]]
-    right = P[ids[:, None, None], X[None, :, :]]
-    return bool((left == right).all())
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 class TestRingAxioms:
@@ -217,15 +229,31 @@ class TestSocle:
 
     def test_matches_pairwise_scan(self):
         rng = random.Random(41)
+        rings = []
         for _ in range(10):
-            data = random_total_data(rng, max_order=32, max_branch=3)
-            ring = build_fiber_ring(data)
-            expected = []
-            for chi in ring.characters:
-                if all(ring.product(chi, other) is None
-                       for other in ring.characters if not other.is_trivial):
-                    expected.append(chi)
+            rings.append(build_fiber_ring(random_total_data(rng, max_order=32, max_branch=3)))
+        while sum(ring.dimension > 128 for ring in rings) < 5:
+            rings.append(build_fiber_ring(random_total_data(rng, max_order=256, max_branch=6)))
+        for r in range(1, 7):
+            for _ in range(3):
+                extra = rng.randint(r, 4 * r)
+                rings.append(build_fiber_ring(elementary_lines(rng, r, extra)))
+        largest = 0
+        for ring in rings:
+            expected = [chi for chi in ring.characters
+                        if all(ring.product(chi, other) is None
+                               for other in ring.characters if not other.is_trivial)]
             assert socle_basis(ring) == expected
+            largest = max(largest, len(expected))
+        assert largest > 32
+
+    def test_large_socle_is_fast(self):
+        ring = build_fiber_ring(elementary_lines(random.Random(61), 12, 18))
+        start = perf_counter()
+        basis = socle_basis(ring)
+        elapsed = perf_counter() - start
+        assert len(basis) > 1000
+        assert elapsed < 0.5, f"socle_basis took {elapsed:.3f} s"
 
     def test_certificate_inverse_in_socle(self):
         rng = random.Random(43)
