@@ -73,6 +73,15 @@ class TestAlphaExponents:
         data = z3_two_datum()
         assert build_fiber_ring(data).alpha(data.group.character((1,))) == (1, 2)
 
+    def test_requires_totally_ramified(self):
+        # One line in (Z/2)^2: the character (0, 1) is trivial on it and
+        # shares the identity's exponent vector, so alpha is not injective.
+        G = AbelianGroup((2, 2))
+        e1, _ = G.generators()
+        data = validate(CombinatorialData(G, (BranchDatum(e1, 1),)))
+        with pytest.raises(ValueError, match="not totally ramified"):
+            build_fiber_ring(data)
+
 
 class TestEpsilon:
     def test_trivial_partner(self):
