@@ -17,7 +17,6 @@ from .groups import (
     LimitExceeded,
     RootExponent,
     discrete_log,
-    enumerate_subgroup,
     smith_normal_form,
     solve_character_congruences,
 )

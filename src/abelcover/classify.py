@@ -64,12 +64,20 @@ REASON_NOTES = {
         "(t, t^-1), an A-type hypersurface singularity"
     ),
     REASON_OPEN_CASE: "no known criterion settles this configuration",
-    REASON_LIMIT: "kernel enumeration needed for the rigidity test exceeded its bound",
+    REASON_LIMIT: (
+        "the exact minimal-support search needed for the rigidity test "
+        "exceeded its work bound"
+    ),
 }
 
 
 class CrossCheckError(RuntimeError):
-    """The independent Gorenstein deciders disagreed; indicates a bug."""
+    """The independent Gorenstein deciders disagreed; indicates a bug.
+    `data` is the input they disagreed on, a ready-made reproducer."""
+
+    def __init__(self, message: str, data: CombinatorialData):
+        super().__init__(message)
+        self.data = data
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ def lci_classify(data: CombinatorialData, kernel: KernelDescription) -> tuple[st
       4. s = 2 (Gorenstein here)    -> LCI      (A-type-surface)
       5. otherwise                  -> Unknown  (open-general-case)
     Rules 3 and 4 are mutually exclusive (s = 2 caps supports at 2).  When
-    the kernel was too large to enumerate and rule 3 cannot be decided the
-    verdict is Unknown with reason `limit`.
+    the minimal-support search passed its work bound and rule 3 cannot be
+    decided the verdict is Unknown with reason `limit`.
     """
     if kernel.order == 1:
         return LCI, REASON_LOCALLY_SIMPLE
@@ -186,7 +194,7 @@ def classify(
 
     checks = GorensteinChecks(certificate is not None, watanabe, socle_ok, palindromic)
     if not checks.agree():
-        raise CrossCheckError(f"Gorenstein deciders disagree: {checks}")
+        raise CrossCheckError(f"Gorenstein deciders disagree: {checks}", data)
     gorenstein = certificate is not None
 
     lci, lci_reason = lci_classify(data, kd)

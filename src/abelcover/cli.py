@@ -30,11 +30,12 @@ from .fiber import (
     invariant_monomials_up_to_degree,
     socle_basis,
 )
-from .classify import ClassificationReport, classify
+from .classify import ClassificationReport, CrossCheckError, classify
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_LIMIT = 2
+EXIT_INTERNAL = 3
 
 
 class DocumentError(ValueError):
@@ -72,6 +73,12 @@ class CoverDocument:
             tuple(BranchDatum(grp.element(entry.generator), entry.character)
                   for entry in self.branch),
         )
+
+    @classmethod
+    def from_data(cls, data: CombinatorialData) -> "CoverDocument":
+        return cls(data.group.moduli, tuple(
+            BranchEntry(datum.generator.residues, datum.char_residue)
+            for datum in data.branch))
 
     def to_json_dict(self) -> dict:
         return {
@@ -513,7 +520,7 @@ def cmd_fiber(doc: CoverDocument, *, table: bool = False,
         return f"limit exceeded: {exc}\n", EXIT_LIMIT
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
-    for chi, alpha in zip(ring.characters, ring.alphas):
+    for chi, alpha in zip(ring.group.characters(), ring.alphas):
         lines.append(f"  w{chi} : {list(alpha)} : {sum(alpha)}")
     if table:
         lines.append("products (row * column, . = zero):")
@@ -746,6 +753,12 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except CrossCheckError as exc:
+        # A bug, not bad input: name it and print the canonical document
+        # that reproduces it.
+        print(f"internal error: {exc}", file=sys.stderr)
+        print(json.dumps(CoverDocument.from_data(exc.data).to_json_dict()), file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(text)
     return code
 

@@ -5,6 +5,7 @@ presentation of the sum map that carries its kernel and the totally-ramified
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, prod
 
 from .groups import (
@@ -13,6 +14,7 @@ from .groups import (
     Element,
     Hom,
     RootExponent,
+    _hermite,
     closure,
     smith_normal_form,
 )
@@ -42,16 +44,30 @@ class BranchDatum:
     def canonical(self) -> "BranchDatum":
         """The same pair (H, psi) written against the canonical generator of H:
         the order-d element of H with lexicographically smallest residues.
-        Replacing g by u*g transports the residue a to a*u mod d."""
-        d = self.order
-        best_u, best = 1, self.generator
-        for u in range(2, d):
-            if gcd(u, d) != 1:
+        Replacing g by u*g transports the residue a to a*u mod d.
+
+        The least u*g is built one coordinate at a time.  The units u still
+        in the race form one class c mod n, and any class prime to n lifts
+        to a unit mod d because n | d.  At a residue r mod m, with
+        e = gcd(r, m) and m' = m/e, the coordinate of u*g is e*w with
+        w = u*(r/e) mod m'; w runs over the units mod m' with
+        w = c*(r/e) mod gcd(n, m'), so the least one is found by walking that
+        progression.  It fixes u mod m', which joins the class by the
+        Chinese remainder theorem.  After the last coordinate n = d."""
+        c, n = 0, 1
+        for r, m in zip(self.generator.residues, self.generator.group.moduli):
+            if r == 0:
                 continue
-            candidate = u * self.generator
-            if candidate.residues < best.residues:
-                best_u, best = u, candidate
-        return BranchDatum(best, (self.char_residue * best_u) % d)
+            e = gcd(r, m)
+            mp, rp = m // e, r // e
+            h = gcd(n, mp)
+            w = c * rp % h
+            while gcd(w, mp) != 1:
+                w += h
+            # u = w / rp (mod m') and u = c (mod n), both known to agree mod h.
+            t = (w * pow(rp, -1, mp) - c) // h * pow(n // h, -1, mp // h) % (mp // h)
+            c, n = c + n * t, n // h * mp
+        return BranchDatum(c * self.generator, self.char_residue * c)
 
     def pair_key(self) -> tuple[tuple[int, ...], int]:
         c = self.canonical()
@@ -225,8 +241,9 @@ class KernelDescription:
     """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s.
 
     min_support is the least number of nonzero coordinates over the nonzero
-    elements of K; it is only trustworthy under full enumeration, so it is
-    None when K is trivial or its order exceeds the bound.
+    elements of K.  It is exact when given; it is None when K is trivial or
+    when its search (subset probes plus enumerated kernel elements) would
+    pass the work bound.
     """
 
     generators: tuple[Element, ...]
@@ -240,11 +257,39 @@ def kernel_K(
     *,
     enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> KernelDescription:
-    """K as presented, with its minimal support when K has at most
-    `enumeration_limit` elements."""
+    """K as presented, with its exact minimal support when the search for it
+    fits in `enumeration_limit` units of work.
+
+    The kernel elements supported in a coordinate set T form the kernel of
+    the sum map of the lines in T, of order prod_{i in T} d_i / |sum H_i|.
+    No support is 1 (d_i * g_i is the first multiple of g_i that vanishes),
+    and the support of K itself is at most s, so the minimal support is the
+    least |T| < s with prod_{i in T} d_i > |sum_{i in T} H_i|, else s.  Each
+    probe costs one Hermite basis of the H_i in G.  A minimum-weight kernel
+    element is hard to find in general, so the work is bounded: the kernel
+    is enumerated instead when it has fewer elements than there are subsets
+    to probe, and the answer is None once probes or elements would pass the
+    bound."""
     gens, order = presentation.kernel_gens, presentation.kernel_order
-    min_support = None
-    if 1 < order <= enumeration_limit:
-        elements = closure(data.orders, (g.residues for g in gens), enumeration_limit)
-        min_support = min(sum(1 for x in t if x) for t in elements if any(t))
-    return KernelDescription(gens, order, min_support)
+    s, orders = data.size, data.orders
+    if order == 1:
+        return KernelDescription(gens, order, None)
+    probes = 2**s - 2 - s  # subsets T with 2 <= |T| < s
+    if order <= min(probes, enumeration_limit):
+        elements = closure(orders, (g.residues for g in gens), enumeration_limit)
+        support = min(sum(1 for x in t if x) for t in elements if any(t))
+        return KernelDescription(gens, order, support)
+    moduli, group_order = data.group.moduli, data.group.order
+    lines = [datum.generator.residues for datum in data.branch]
+    spent = 0
+    for size in range(2, s):
+        for subset in combinations(range(s), size):
+            if spent == enumeration_limit:
+                return KernelDescription(gens, order, None)
+            spent += 1
+            basis = _hermite(moduli, [lines[i] for i in subset])
+            pivots = prod(row[k] for k, row in enumerate(basis))
+            # |K_T| > 1 iff prod d_T > |sum H_T| = |G| / pivots.
+            if prod(orders[i] for i in subset) * pivots > group_order:
+                return KernelDescription(gens, order, size)
+    return KernelDescription(gens, order, s)

@@ -17,7 +17,7 @@ from .groups import AbelianGroup, Character, DEFAULT_ENUMERATION_LIMIT, LimitExc
 from .cover import CombinatorialData, SumMapPresentation
 
 #: Largest group order for which the fiber ring is materialized.  The ring
-#: holds one character and one exponent vector per element of G, and
+#: holds one exponent vector per element of G, and
 #: `fiber --table` prints |G|^2 products.  The value is part of the report:
 #: above it the two fiber-ring Gorenstein cross-checks are recorded as
 #: skipped, so changing it changes reports.
@@ -28,24 +28,31 @@ DEFAULT_FIBER_ORDER_LIMIT = 4096
 class FiberRing:
     """dim = |G| algebra with basis {w_chi} and the overflow product rule.
 
-    Characters are listed in lexicographic residue order; `alphas[k]` is the
-    exponent vector of `characters[k]`.  The trivial character (index 0) is
+    Basis index k is the character whose residues are the mixed-radix
+    digits of k against the group's moduli (lexicographic residue order);
+    `alphas[k]` is its exponent vector.  The trivial character (index 0) is
     the identity; all nonzero structure constants are 1."""
 
     group: AbelianGroup
     orders: tuple[int, ...]
-    characters: tuple[Character, ...]
     alphas: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.characters)
+        return len(self.alphas)
 
     def index(self, chi: Character) -> int:
         idx = 0
         for c, m in zip(chi.residues, self.group.moduli):
             idx = idx * m + c
         return idx
+
+    def character(self, k: int) -> Character:
+        residues = []
+        for m in reversed(self.group.moduli):
+            k, c = divmod(k, m)
+            residues.append(c)
+        return Character(self.group, tuple(reversed(residues)))
 
     def alpha(self, chi: Character) -> tuple[int, ...]:
         return self.alphas[self.index(chi)]
@@ -55,16 +62,17 @@ class FiberRing:
         a, b = self.alphas[i], self.alphas[j]
         if any(x + y >= d for x, y, d in zip(a, b, self.orders)):
             return None
-        ci = self.characters[i].residues
-        cj = self.characters[j].residues
-        idx = 0
-        for x, y, m in zip(ci, cj, self.group.moduli):
-            idx = idx * m + (x + y) % m
+        idx, place = 0, 1
+        for m in reversed(self.group.moduli):
+            i, x = divmod(i, m)
+            j, y = divmod(j, m)
+            idx += place * ((x + y) % m)
+            place *= m
         return idx
 
     def product(self, chi: Character, chi2: Character) -> Character | None:
         idx = self.product_index(self.index(chi), self.index(chi2))
-        return None if idx is None else self.characters[idx]
+        return None if idx is None else self.character(idx)
 
     def product_table(self) -> list[list[int | None]]:
         n = self.dimension
@@ -109,7 +117,7 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
         raise ValueError(
             "data is not totally ramified; classify factors covers first "
             "(ramification_factorization) and works on the restricted part")
-    return FiberRing(data.group, orders, tuple(data.group.characters()), tuple(alphas))
+    return FiberRing(data.group, orders, tuple(alphas))
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:
@@ -142,7 +150,7 @@ def socle_basis(ring: FiberRing) -> list[Character]:
         for masks, x in zip(at, a):
             others &= masks[x]
         if not others:
-            out.append(ring.characters[k])
+            out.append(ring.character(k))
     return out
 
 

@@ -3,8 +3,8 @@
 Groups are direct sums of cyclic groups Z/m_1 + ... + Z/m_r kept in the
 decomposition the caller supplies.  Characters take values in Q/Z (an exact
 stand-in for roots of unity), homomorphisms are generator-image tables, and
-the integer linear algebra underneath everything is Smith normal form over
-arbitrary-precision ints.  No floating point anywhere.
+the integer linear algebra underneath everything is Smith normal form and
+Hermite bases over arbitrary-precision ints.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-#: Cap on operations that walk a group or subgroup element by element.
+#: Cap on the work of the exact minimal-support search of a kernel (subset
+#: probes plus kernel elements enumerated) and on the exponent vectors that
+#: the invariant-monomial listing walks.
 DEFAULT_ENUMERATION_LIMIT = 10**6
 
 #: Group orders up to which a failed congruence solve is re-verified by brute force.
@@ -385,10 +387,48 @@ def closure(moduli: tuple[int, ...], generators, limit: int = DEFAULT_ENUMERATIO
     return sorted(elems)
 
 
-def enumerate_subgroup(group: AbelianGroup, generators, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Element]:
-    """All elements of the subgroup generated by `generators`, lex-sorted."""
-    tuples = closure(group.moduli, (g.residues for g in generators), limit)
-    return [Element(group, t) for t in tuples]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _hermite(moduli: tuple[int, ...], vectors) -> list[list[int]]:
+    """Upper-triangular basis of the lattice spanned by `vectors` and
+    diag(moduli) in Z^r: row k is zero before k, its pivot row[k] divides
+    m_k, and its later entries are reduced mod their moduli.  The subgroup
+    the vectors generate in Z/m_1 + ... + Z/m_r has order
+    prod(m) / prod(pivots).
+
+    Column k starts from m_k e_k and folds in every remaining vector by a
+    unimodular 2x2 step on (pivot, entry), which leaves the vector zero in
+    column k.  Each step keeps the spanned lattice, and m_k e_k is one of
+    its generators, so (m_k / p_k) * row, the element that a Howell form
+    over Z/m must add, is already spanned by the vectors left for the later
+    columns."""
+    r = len(moduli)
+    work = [[x % m for x, m in zip(v, moduli)] for v in vectors]
+    rows = []
+    for k, m in enumerate(moduli):
+        h = [0] * r
+        h[k] = m
+        rest = []
+        for v in work:
+            if v[k]:
+                g, x, y = _xgcd(h[k], v[k])
+                a, b = h[k] // g, v[k] // g
+                h, v = (
+                    [(x * p + y * q) % mj for p, q, mj in zip(h, v, moduli)],
+                    [(a * q - b * p) % mj for p, q, mj in zip(h, v, moduli)],
+                )
+            rest.append(v)
+        rows.append(h)
+        work = [v for v in rest if any(v)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +457,6 @@ def solve_character_congruences(
     group: AbelianGroup,
     constraints,
     *,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
     cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
 ) -> Character | None:
     """A character chi of `group` with chi(g) = value for every (g, value)
@@ -426,7 +465,10 @@ def solve_character_congruences(
     The congruences sum_j c_j g_j / m_j = value (mod 1) are cleared to a
     single modulus L = lcm of all moduli and value denominators and solved by
     Smith normal form.  When solutions exist the lexicographically smallest
-    one is returned, so the output is deterministic.  A None answer is
+    one is returned, so the output is deterministic: the homogeneous
+    solutions form a lattice containing diag(m_1, ..., m_r), and reducing
+    the particular solution against its Hermite basis one coordinate at a
+    time (x_k mod pivot_k) gives the least point of the coset.  A None answer is
     re-checked against full character enumeration while |G| stays within
     `cross_check_limit`.
     """
@@ -477,23 +519,14 @@ def solve_character_congruences(
                     raise ArithmeticError("congruence solver missed a solution")
         return None
     z = _mat_vec(V, w)
-    particular = group.character(z[:r])
-
-    # Homogeneous solutions form a subgroup of the dual; take the lex-least
-    # point of the solution coset when that subgroup is small enough.
-    hom_gens = [
-        tuple(V[i][idx] % group.moduli[i] for i in range(r))
-        for idx in range(rank, r + k)
-    ]
-    chi = particular
-    try:
-        coset = [
-            tuple((a + b_) % m for a, b_, m in zip(particular.residues, shift, group.moduli))
-            for shift in closure(group.moduli, hom_gens, enumeration_limit)
-        ]
-        chi = group.character(min(coset))
-    except LimitExceeded:
-        pass
+    # Columns rank, ..., r + k - 1 of V span the integer solutions of
+    # B (c; y) = 0; their first r entries span the homogeneous lattice.
+    hom_gens = [[V[i][idx] for i in range(r)] for idx in range(rank, r + k)]
+    residues = [x % m for x, m in zip(z, group.moduli)]
+    for j, row in enumerate(_hermite(group.moduli, hom_gens)):
+        q = residues[j] // row[j]
+        residues = [x - q * y for x, y in zip(residues, row)]
+    chi = group.character(residues)
     for g, value in constraints:
         if chi(g) != value:
             raise ArithmeticError("congruence solver produced a bad solution")

@@ -91,6 +91,36 @@ def brute_character_solutions(group: AbelianGroup, constraints) -> list:
     return out
 
 
+def lex_least_in_coset(moduli, point, generators) -> tuple[int, ...]:
+    """The lexicographically least element of point + <generators>, from the
+    full enumeration of the subgroup."""
+    return min(
+        tuple((a + b) % m for a, b, m in zip(point, shift, moduli))
+        for shift in closure(moduli, generators)
+    )
+
+
+def brute_canonical(datum: BranchDatum) -> BranchDatum:
+    """The canonical form of a branch datum by trying every unit u < d."""
+    d = datum.order
+    best_u, best = 1, datum.generator
+    for u in range(2, d):
+        if gcd(u, d) != 1:
+            continue
+        candidate = u * datum.generator
+        if candidate.residues < best.residues:
+            best_u, best = u, candidate
+    return BranchDatum(best, (datum.char_residue * best_u) % d)
+
+
+def brute_min_support(orders, kernel_gens) -> int | None:
+    """Least number of nonzero coordinates over the nonzero elements of the
+    subgroup of Z/d_1 + ... + Z/d_s that `kernel_gens` generate, from the
+    full enumeration of it; None for the trivial subgroup."""
+    supports = [sum(1 for x in t if x) for t in closure(orders, kernel_gens) if any(t)]
+    return min(supports, default=None)
+
+
 def brute_discrete_log(base: RootExponent, target: RootExponent, order: int) -> int | None:
     for t in range(order):
         if t * base == target:

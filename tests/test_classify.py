@@ -1,4 +1,5 @@
 import random
+from time import perf_counter
 
 from abelcover import (
     AbelianGroup,
@@ -194,6 +195,24 @@ class TestClassify:
         assert not report.totally_ramified
         assert report.gorenstein and report.certificate.residues == (1,)
         assert report.lci == LCI and report.smooth == SMOOTH_CONDITIONAL
+
+    def test_large_moduli_are_fast(self):
+        p, q = 10**9 + 7, 10**9 + 9
+        G = AbelianGroup((p, q))
+        data = validate(CombinatorialData(G, (
+            BranchDatum(G.element((123456789, 987654321)), 5),
+            BranchDatum(G.element((31415926, 0)), 2),
+        )))
+        start = perf_counter()
+        report = classify(data)
+        elapsed = perf_counter() - start
+        # Canonically the lines are (1, 1) and (1, 0); chi = (c1, c2) lifts
+        # both iff c1 = a2 (mod p) and c1 q + c2 p = a1 (mod pq).
+        a1, a2 = (datum.char_residue for datum in data.branch)
+        assert report.gorenstein == ((a1 * pow(q, -1, p) - a2) % p == 0)
+        assert report.kernel.order == p and report.kernel.min_support == 2
+        assert report.cross_checks.socle is None
+        assert elapsed < 1.0, f"classify took {elapsed:.3f} s"
 
     def test_fiber_routes_skipped_over_limit(self):
         report = classify(z2cubed_data(), fiber_order_limit=4)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from abelcover import validate
 from abelcover.cli import (
     DocumentError,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_LIMIT,
     EXIT_OK,
@@ -278,6 +280,30 @@ class TestMain:
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
         assert main([command, "--max-order", "0"]) == EXIT_INVALID
         assert self._single_error_line(capsys) == "error: --max-order: must be >= 1, got 0\n"
+
+    def test_cross_check_disagreement(self, capsys, monkeypatch):
+        # A disagreement between Gorenstein routes is a bug: one located
+        # line, then the canonical input as a one-line reproducer, exit 3.
+        import importlib
+        import io
+        decider = importlib.import_module("abelcover.classify")
+        sl_test = decider.gorenstein_watanabe
+        monkeypatch.setattr(decider, "gorenstein_watanabe",
+                            lambda data, kernel: not sl_test(data, kernel))
+        text = json.dumps({"group": [6, 4], "branch": [
+            {"generator": [5, 2], "character": 7},
+            {"generator": [3, 3], "character": 1},
+        ]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify", "--json"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        message, reproducer = captured.err.splitlines()
+        assert message.startswith("internal error: Gorenstein deciders disagree")
+        data = validate(parse_input(text).to_data())
+        assert parse_input(reproducer).to_data() == data
+        assert data != parse_input(text).to_data()  # the input was not canonical
 
     def test_import_loads_only_the_standard_library(self):
         src = str(Path(__file__).parents[1] / "src")

@@ -1,5 +1,7 @@
 import random
+from itertools import combinations
 from math import prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +11,6 @@ from abelcover import (
     BranchDatum,
     CombinatorialData,
     InvalidCoverData,
-    enumerate_subgroup,
     kernel_K,
     ramification_factorization,
     sum_map,
@@ -18,8 +19,11 @@ from abelcover import (
 from abelcover.classify import gorenstein_lift
 from abelcover.groups import closure
 from helpers import (
+    brute_canonical,
     brute_image,
     brute_kernel,
+    brute_min_support,
+    exact_det,
     random_data,
     random_group,
     single_datum_z105,
@@ -119,6 +123,36 @@ class TestValidate:
             assert validate(data) == data
 
 
+class TestCanonical:
+    """The coordinate-wise canonical generator against the scan over u < d."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        G = random_group(rng, max_order=512, max_rank=4)
+        for _ in range(10):
+            g = G.element([rng.randrange(m) for m in G.moduli])
+            datum = BranchDatum(g, rng.randrange(10**6))
+            assert datum.canonical() == brute_canonical(datum)
+
+    def test_validate_large_moduli_is_fast(self):
+        p, q = 10**9 + 7, 10**9 + 9
+        G = AbelianGroup((p, q))
+        data = CombinatorialData(G, (
+            BranchDatum(G.element((123456789, 987654321)), 5),
+            BranchDatum(G.element((31415926, 0)), 2),
+        ))
+        start = perf_counter()
+        valid = validate(data)
+        elapsed = perf_counter() - start
+        # The moduli are prime, so the least generators are (1, 1) and
+        # (1, 0), reached by u = 1/r in each coordinate (joined by CRT).
+        u = pow(123456789, -1, p) * q * pow(q, -1, p) + pow(987654321, -1, q) * p * pow(p, -1, q)
+        assert valid.branch[0] == BranchDatum(G.element((1, 1)), 5 * u % (p * q))
+        assert valid.branch[1] == BranchDatum(G.element((1, 0)), 2 * pow(31415926, -1, p) % p)
+        assert elapsed < 0.005, f"validate took {elapsed * 1e3:.2f} ms"
+
+
 class TestSumMap:
     def test_empty(self):
         G = AbelianGroup((2, 2))
@@ -158,6 +192,72 @@ class TestKernelK:
     def test_zpqr_instance(self):
         kd = kernel_of(zpqr_data())
         assert kd.order == 3
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_min_support_matches_enumeration(self, seed):
+        rng = random.Random(seed)
+        data = random_data(rng, random_group(rng, max_order=512), max_branch=6)
+        pres = ramification_factorization(data)
+        gens = [g.residues for g in pres.kernel_gens]
+        assert kernel_K(data, pres).min_support == brute_min_support(data.orders, gens)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_budget_near_the_switch(self, seed):
+        # The search enumerates K when it is smaller than the number of
+        # subsets to probe, and otherwise probes; either way a bound below
+        # the work needed gives None, never a wrong support, and more work
+        # never loses a decided answer.
+        rng = random.Random(seed)
+        while True:
+            try:
+                data = random_data(
+                    rng, random_group(rng, max_order=512), min_branch=3, max_branch=6)
+                break
+            except RuntimeError:  # too few distinct lines in a small group
+                continue
+        pres = ramification_factorization(data)
+        exact = brute_min_support(data.orders, [g.residues for g in pres.kernel_gens])
+        probes = 2**data.size - 2 - data.size
+        limits = {0, 1}
+        for centre in (pres.kernel_order, probes):
+            limits |= {centre - 1, centre, centre + 1}
+        decided = False
+        for limit in sorted(x for x in limits if x >= 0):
+            got = kernel_K(data, pres, enumeration_limit=limit).min_support
+            if exact is None:
+                assert got is None
+                continue
+            assert got in (None, exact)
+            if decided or pres.kernel_order <= min(probes, limit):
+                assert got == exact
+            decided = got is not None
+
+    @pytest.mark.parametrize("count", [11, 12])
+    def test_exact_min_support_without_enumeration(self, count):
+        # count lines of (Z/5)^3, so |K| = 5^count / 5^3: 5^8 = 390625 for
+        # 11 lines, which is cheaper to probe than to enumerate, and
+        # 5^9 > 10^6 for 12, past the old enumeration bound.
+        rng = random.Random(5)
+        G = AbelianGroup((5, 5, 5))
+        lines = {}
+        while len(lines) < count:
+            g = G.element([rng.randrange(5) for _ in range(3)])
+            if not g.is_identity:
+                lines.setdefault(min((u * g).residues for u in range(1, 5)), g)
+        data = validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines.values())))
+        start = perf_counter()
+        kd = kernel_of(data)
+        elapsed = perf_counter() - start
+        assert kd.order == 5 ** (count - 3)
+        # Distinct lines of prime order meet trivially, so no support is 2.
+        # Three lines in one plane (a vanishing 3x3 determinant mod 5) give
+        # a kernel element of support 3.
+        coplanar = any(
+            exact_det([a.residues, b.residues, c.residues]) % 5 == 0
+            for a, b, c in combinations(lines.values(), 3))
+        assert coplanar
+        assert kd.min_support == 3
+        assert elapsed < 0.5, f"kernel_K took {elapsed:.3f} s"
 
     def test_enumeration_respects_limit(self):
         kd = kernel_of(z2cubed_data(), enumeration_limit=1)
@@ -250,8 +350,7 @@ class TestKernelSupports:
     def test_elementary_gorenstein_subgroups_meet_trivially(self):
         for data in (z2cubed_data(), z3sq_gorenstein()):
             subgroups = [
-                {e.residues for e in enumerate_subgroup(
-                    data.group, [datum.generator])}
+                set(closure(data.group.moduli, [datum.generator.residues]))
                 for datum in data.branch
             ]
             for i in range(len(subgroups)):

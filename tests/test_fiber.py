@@ -116,9 +116,10 @@ class TestEpsilon:
                 return tuple(brute_discrete_log(base, chi(datum.generator), datum.order)
                              for base, datum in zip(bases, data.branch))
 
-            for chi in ring.characters:
+            characters = list(ring.group.characters())
+            for chi in characters:
                 assert ring.alpha(chi) == scan(chi)
-            chi, chi2 = rng.choice(ring.characters), rng.choice(ring.characters)
+            chi, chi2 = rng.choice(characters), rng.choice(characters)
             expected = tuple((x + y) // d for x, y, d in zip(scan(chi), scan(chi2), data.orders))
             assert carries(ring, chi, chi2) == expected
 
@@ -127,9 +128,17 @@ class TestFiberRing:
     def test_dual_numbers(self):
         ring = build_fiber_ring(dual_numbers_data())
         assert ring.dimension == 2
-        chi = ring.characters[1]
+        trivial, chi = ring.group.characters()
         assert ring.product(chi, chi) is None
-        assert ring.product(ring.characters[0], chi) == chi
+        assert ring.product(trivial, chi) == chi
+
+    def test_index_decodes_in_lexicographic_order(self):
+        rng = random.Random(3)
+        for _ in range(5):
+            ring = build_fiber_ring(random_total_data(rng, max_order=96, max_branch=4))
+            for k, chi in enumerate(ring.group.characters()):
+                assert ring.character(k) == chi
+                assert ring.index(chi) == k
 
     def test_z2cubed_product(self):
         data = z2cubed_data()
@@ -171,10 +180,11 @@ class TestFiberRing:
             ring = build_fiber_ring(data)
             degs = ring.degrees()
             n = ring.dimension
+            characters = list(ring.group.characters())
             for i in range(n):
                 for j in range(n):
                     k = ring.product_index(i, j)
-                    eps = carries(ring, ring.characters[i], ring.characters[j])
+                    eps = carries(ring, characters[i], characters[j])
                     if k is None:
                         assert any(e == 1 for e in eps)
                     else:
@@ -249,9 +259,10 @@ class TestSocle:
                 rings.append(build_fiber_ring(elementary_lines(rng, r, extra)))
         largest = 0
         for ring in rings:
-            expected = [chi for chi in ring.characters
+            characters = list(ring.group.characters())
+            expected = [chi for chi in characters
                         if all(ring.product(chi, other) is None
-                               for other in ring.characters if not other.is_trivial)]
+                               for other in characters if not other.is_trivial)]
             assert socle_basis(ring) == expected
             largest = max(largest, len(expected))
         assert largest > 32

@@ -1,5 +1,6 @@
 import random
-from math import gcd
+from math import gcd, prod
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,18 +12,20 @@ from abelcover import (
     Hom,
     RootExponent,
     discrete_log,
-    enumerate_subgroup,
     ramification_factorization,
     smith_normal_form,
     solve_character_congruences,
     sum_map,
 )
+from abelcover.groups import _hermite, closure
 from helpers import (
     assert_snf_contract,
     brute_character_solutions,
     brute_element_order,
     brute_image,
     brute_kernel,
+    lex_least_in_coset,
+    random_group,
 )
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -157,8 +160,7 @@ class TestKernelAndImage:
         data = sum_map_data(Z3, [Z3.element((1,)), Z3.element((1,))])
         pres = ramification_factorization(data)
         assert pres.kernel_order == 3
-        H = AbelianGroup((3, 3))
-        generated = {e.residues for e in enumerate_subgroup(H, pres.kernel_gens)}
+        generated = set(closure((3, 3), [g.residues for g in pres.kernel_gens]))
         assert generated == {(0, 0), (1, 2), (2, 1)}
 
     def test_z2cubed_kernel(self):
@@ -199,9 +201,36 @@ class TestKernelAndImage:
         pres = ramification_factorization(data)
         assert pres.kernel_order * pres.image_order == f.source.order
         assert all(f(g).is_identity for g in pres.kernel_gens)
-        generated = enumerate_subgroup(f.source, pres.kernel_gens)
-        assert {e.residues for e in generated} == brute_kernel(f)
+        generated = closure(f.source.moduli, [g.residues for g in pres.kernel_gens])
+        assert set(generated) == brute_kernel(f)
         assert pres.image_order == len(brute_image(f))
+
+
+class TestHermite:
+    """The Hermite basis behind subgroup orders and the lex-least reduction."""
+
+    def check(self, moduli, vectors):
+        rows = _hermite(moduli, vectors)
+        subgroup = set(closure(moduli, vectors))
+        for k, row in enumerate(rows):
+            assert not any(row[:k]) and row[k] > 0 and moduli[k] % row[k] == 0
+            assert tuple(x % m for x, m in zip(row, moduli)) in subgroup
+        assert prod(moduli) // prod(row[k] for k, row in enumerate(rows)) == len(subgroup)
+
+    def test_pivot_multiple(self):
+        # <(2, 1)> in Z/4 + Z/4 has order 4: 2 * (2, 1) = (0, 2) is zero in
+        # the first column but not in the second, so the second pivot is 2.
+        assert _hermite((4, 4), [[2, 1]]) == [[2, 1], [0, 2]]
+        self.check((4, 4), [[2, 1]])
+
+    @given(st.lists(st.integers(min_value=2, max_value=16), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=10**6))
+    def test_subgroup_order_and_shape(self, moduli, seed):
+        if prod(moduli) > 4096:
+            return
+        rng = random.Random(seed)
+        self.check(tuple(moduli), [[rng.randrange(-m, 2 * m) for m in moduli]
+                                   for _ in range(rng.randint(0, 4))])
 
 
 class TestRootExponent:
@@ -335,3 +364,34 @@ class TestSolveCharacterCongruences:
             assert found is not None
             assert all(found(g) == v for g, v in constraints)
             assert found.residues == min(chi.residues for chi in solutions)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_least_point_of_the_solution_coset(self, seed):
+        rng = random.Random(seed)
+        G = random_group(rng, max_order=512, max_rank=4)
+        hidden = G.character([rng.randrange(m) for m in G.moduli])
+        elements = [G.element([rng.randrange(m) for m in G.moduli])
+                    for _ in range(rng.randint(1, 3))]
+        found = solve_character_congruences(G, [(g, hidden(g)) for g in elements])
+        homogeneous = brute_character_solutions(G, [(g, RootExponent()) for g in elements])
+        assert found.residues == lex_least_in_coset(
+            G.moduli, hidden.residues, [chi.residues for chi in homogeneous])
+
+    def test_lex_least_past_the_old_coset_bound(self):
+        # One constraint on (Z/1009)^3: the homogeneous solutions number
+        # 1009^2 > 10^6, past the size at which the coset was enumerated.
+        p = 1009
+        G = AbelianGroup((p, p, p))
+        g = G.element((5, 7, 11))
+        start = perf_counter()
+        chi = solve_character_congruences(G, [(g, RootExponent(1, p))])
+        elapsed = perf_counter() - start
+        # Per coordinate, the least value that leaves sum c_j g_j = 1 (mod p)
+        # solvable in the coordinates after it.
+        expected, rest = [], 1
+        for k, x in enumerate(g.residues):
+            c = 0 if any(g.residues[k + 1:]) else rest * pow(x, -1, p) % p
+            expected.append(c)
+            rest = (rest - c * x) % p
+        assert chi.residues == tuple(expected) == (0, 0, 367)
+        assert elapsed < 0.05, f"solve took {elapsed:.3f} s"
