@@ -15,8 +15,6 @@ from .groups import (
     Element,
     Hom,
     LimitExceeded,
-    RootExponent,
-    discrete_log,
     smith_normal_form,
     solve_character_congruences,
 )

@@ -14,7 +14,6 @@ from math import lcm
 from .groups import (
     Character,
     DEFAULT_ENUMERATION_LIMIT,
-    RootExponent,
     solve_character_congruences,
 )
 from .cover import (
@@ -116,11 +115,8 @@ def gorenstein_lift(data: CombinatorialData) -> Character | None:
     (chi(g_i) = a_i/d_i), or None.  The point is Gorenstein exactly when such
     a lift exists.  Deterministic: the lexicographically smallest lift is
     returned when several exist (only possible for non-surjective data)."""
-    constraints = [
-        (datum.generator, RootExponent(datum.char_residue, datum.order))
-        for datum in data.branch
-    ]
-    return solve_character_congruences(data.group, constraints)
+    return solve_character_congruences(
+        data.group, [(datum.generator, datum.char_residue) for datum in data.branch])
 
 
 def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> bool:

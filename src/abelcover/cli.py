@@ -37,6 +37,14 @@ EXIT_INVALID = 1
 EXIT_LIMIT = 2
 EXIT_INTERNAL = 3
 
+#: Bounds on the example parameters, which come from the command line.
+#: Primes are tested by trial division, and the zpn-chain modulus p^n and
+#: the elementary rank n stay small enough for every report to take well
+#: under a second.
+EXAMPLE_MAX_PRIME = 10**6
+EXAMPLE_MAX_MODULUS_BITS = 64
+EXAMPLE_MAX_RANK = 64
+
 
 class DocumentError(ValueError):
     """Problem in the input (the document's syntax or schema, or a command
@@ -190,14 +198,16 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
+def _branch_line(i: int, datum: BranchDatum) -> str:
+    return (f"  [{i}] generator {datum.generator}  order {datum.order}"
+            f"  character {datum.char_residue}/{datum.order}")
+
+
 def render_report(data: CombinatorialData, report: ClassificationReport) -> str:
     lines = []
     lines.append(f"group: {data.group} (order {data.group.order})")
     lines.append(f"branch components: {data.size}")
-    for i, datum in enumerate(data.branch):
-        lines.append(
-            f"  [{i}] generator {datum.generator}  order {datum.order}"
-            f"  character {datum.char_residue}/{datum.order}")
+    lines += [_branch_line(i, datum) for i, datum in enumerate(data.branch)]
     lines.append(f"locally simple: {_yesno(report.locally_simple)}")
     lines.append(
         f"totally ramified: {_yesno(report.totally_ramified)}"
@@ -231,7 +241,8 @@ def render_report(data: CombinatorialData, report: ClassificationReport) -> str:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """Trial division: primes are bounded by EXAMPLE_MAX_PRIME first."""
+    if not 2 <= n <= EXAMPLE_MAX_PRIME:
         return False
     d = 2
     while d * d <= n:
@@ -278,7 +289,8 @@ def _expected_z2cubed(p: dict) -> dict:
 def _check_zpqr(p: dict) -> None:
     pp, q, r = p["p"], p["q"], p["r"]
     if not (_is_prime(pp) and _is_prime(q) and _is_prime(r) and pp < q < r):
-        raise RegistryError(f"zpqr needs primes p < q < r, got {pp}, {q}, {r}")
+        raise RegistryError(
+            f"zpqr needs primes p < q < r <= {EXAMPLE_MAX_PRIME}, got {pp}, {q}, {r}")
     if gcd(p["alpha"], pp * r) != 1:
         raise RegistryError(f"alpha = {p['alpha']} must be coprime to p*r = {pp * r}")
     if gcd(p["beta"], pp * q) != 1:
@@ -314,9 +326,11 @@ def _expected_zpqr(p: dict) -> dict:
 
 def _check_zpn(p: dict) -> None:
     if not _is_prime(p["p"]):
-        raise RegistryError(f"p = {p['p']} must be prime")
-    if p["n"] < 1:
-        raise RegistryError("n must be >= 1")
+        raise RegistryError(f"p = {p['p']} must be a prime <= {EXAMPLE_MAX_PRIME}")
+    # p >= 2, so the first test bounds n before p^n is formed.
+    bits = EXAMPLE_MAX_MODULUS_BITS
+    if not 1 <= p["n"] <= bits or (p["p"] ** p["n"]).bit_length() > bits:
+        raise RegistryError(f"n must be >= 1 with p^n of at most {bits} bits, got n = {p['n']}")
     if not 1 <= p["s"] <= p["n"]:
         raise RegistryError(f"s must lie in [1, n] = [1, {p['n']}]")
     if gcd(p["c"], p["p"]) != 1:
@@ -365,9 +379,9 @@ def _expected_zpn_chain(p: dict) -> dict:
 
 def _check_elementary(p: dict) -> None:
     if not _is_prime(p["p"]):
-        raise RegistryError(f"p = {p['p']} must be prime")
-    if p["n"] < 1:
-        raise RegistryError("n must be >= 1")
+        raise RegistryError(f"p = {p['p']} must be a prime <= {EXAMPLE_MAX_PRIME}")
+    if not 1 <= p["n"] <= EXAMPLE_MAX_RANK:
+        raise RegistryError(f"n must lie in [1, {EXAMPLE_MAX_RANK}], got {p['n']}")
 
 
 def _build_elementary(p: dict) -> CoverDocument:
@@ -461,7 +475,8 @@ def expected_report(name: str, params: dict | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (text, exit code)
+# Commands: each returns (text, exit code).  Invalid cover data and hit
+# limits propagate to `main`, which reports both on stdout.
 
 
 def _validated(doc: CoverDocument) -> CombinatorialData:
@@ -481,20 +496,14 @@ def cmd_validate(doc: CoverDocument) -> tuple[str, int]:
         lines += [f"  {issue}" for issue in exc.issues]
         return "\n".join(lines) + "\n", EXIT_INVALID
     lines = [f"valid: {data.group} with {data.size} branch components"]
-    for i, datum in enumerate(data.branch):
-        lines.append(
-            f"  [{i}] generator {datum.generator}  order {datum.order}"
-            f"  character {datum.char_residue}/{datum.order}")
+    lines += [_branch_line(i, datum) for i, datum in enumerate(data.branch)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 
 def cmd_classify(doc: CoverDocument, *, as_json: bool = False,
                  fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(fiber_order_limit)
-    try:
-        data = _validated(doc)
-    except InvalidCoverData as exc:
-        return f"invalid cover data: {exc}\n", EXIT_INVALID
+    data = _validated(doc)
     report = classify(data, fiber_order_limit=fiber_order_limit)
     if as_json:
         return json.dumps(report_to_json_dict(report), indent=2) + "\n", EXIT_OK
@@ -504,20 +513,14 @@ def cmd_classify(doc: CoverDocument, *, as_json: bool = False,
 def cmd_fiber(doc: CoverDocument, *, table: bool = False,
               max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(max_order)
-    try:
-        data = _validated(doc)
-    except InvalidCoverData as exc:
-        return f"invalid cover data: {exc}\n", EXIT_INVALID
+    data = _validated(doc)
     presentation = ramification_factorization(data)
     lines = []
     if presentation.etale_index > 1:
         lines.append(
             f"etale index {presentation.etale_index}: the fiber is "
             f"{presentation.etale_index} disjoint copies of the totally ramified fiber below")
-    try:
-        ring = build_fiber_ring(presentation.restricted, order_limit=max_order)
-    except LimitExceeded as exc:
-        return f"limit exceeded: {exc}\n", EXIT_LIMIT
+    ring = build_fiber_ring(presentation.restricted, order_limit=max_order)
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
     for chi, alpha in zip(ring.group.characters(), ring.alphas):
@@ -535,14 +538,8 @@ def cmd_fiber(doc: CoverDocument, *, table: bool = False,
 
 def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(max_order)
-    try:
-        data = _validated(doc)
-    except InvalidCoverData as exc:
-        return f"invalid cover data: {exc}\n", EXIT_INVALID
-    try:
-        ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
-    except LimitExceeded as exc:
-        return f"limit exceeded: {exc}\n", EXIT_LIMIT
+    data = _validated(doc)
+    ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
     basis = socle_basis(ring)
     lines = [f"socle dimension: {len(basis)}"]
     for chi in basis:
@@ -556,21 +553,13 @@ def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
     _check_max_order(max_order)
-    try:
-        data = _validated(doc)
-    except InvalidCoverData as exc:
-        return f"invalid cover data: {exc}\n", EXIT_INVALID
+    data = _validated(doc)
     presentation = ramification_factorization(data)
-    try:
-        numerator = hilbert_numerator(
-            build_fiber_ring(presentation.restricted, order_limit=max_order))
-        # Restriction rescales each generator g_i and its character residue
-        # a_i by one unit u_i, hence the kernel coordinates t_i by 1/u_i:
-        # every t_i a_i, and so the monomial set, is that of the input.
-        monomials = invariant_monomials_up_to_degree(
-            data, max_degree, presentation=presentation)
-    except LimitExceeded as exc:
-        return f"limit exceeded: {exc}\n", EXIT_LIMIT
+    numerator = hilbert_numerator(build_fiber_ring(presentation.restricted, order_limit=max_order))
+    # Restriction rescales each generator g_i and its character residue a_i
+    # by one unit u_i, hence the kernel coordinates t_i by 1/u_i: every
+    # t_i a_i, and so the monomial set, is that of the input.
+    monomials = invariant_monomials_up_to_degree(data, max_degree, presentation=presentation)
     lines = [
         f"numerator: {numerator}",
         f"palindromic: {'yes' if numerator.palindromic else 'no'}",
@@ -585,10 +574,7 @@ def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
 
 
 def cmd_factor(doc: CoverDocument) -> tuple[str, int]:
-    try:
-        data = _validated(doc)
-    except InvalidCoverData as exc:
-        return f"invalid cover data: {exc}\n", EXIT_INVALID
+    data = _validated(doc)
     presentation = ramification_factorization(data)
     lines = [
         f"image subgroup order: {presentation.image_order}",
@@ -596,10 +582,7 @@ def cmd_factor(doc: CoverDocument) -> tuple[str, int]:
         f"totally ramified: {'yes' if presentation.totally_ramified else 'no'}",
         f"restricted group: {presentation.restricted.group}",
     ]
-    for i, datum in enumerate(presentation.restricted.branch):
-        lines.append(
-            f"  [{i}] generator {datum.generator}  order {datum.order}"
-            f"  character {datum.char_residue}/{datum.order}")
+    lines += [_branch_line(i, datum) for i, datum in enumerate(presentation.restricted.branch)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 
@@ -750,8 +733,11 @@ def main(argv=None) -> int:
     except (DocumentError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except InvalidCoverData as exc:
+        sys.stdout.write(f"invalid cover data: {exc}\n")
+        return EXIT_INVALID
     except LimitExceeded as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
+        sys.stdout.write(f"limit exceeded: {exc}\n")
         return EXIT_LIMIT
     except CrossCheckError as exc:
         # A bug, not bad input: name it and print the canonical document

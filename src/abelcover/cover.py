@@ -13,7 +13,6 @@ from .groups import (
     DEFAULT_ENUMERATION_LIMIT,
     Element,
     Hom,
-    RootExponent,
     _hermite,
     closure,
     smith_normal_form,
@@ -35,11 +34,6 @@ class BranchDatum:
     @property
     def order(self) -> int:
         return self.generator.order()
-
-    @property
-    def char_value(self) -> RootExponent:
-        """psi(generator) as an exact element of Q/Z."""
-        return RootExponent(self.char_residue, self.order)
 
     def canonical(self) -> "BranchDatum":
         """The same pair (H, psi) written against the canonical generator of H:

@@ -2,9 +2,10 @@
 
 Groups are direct sums of cyclic groups Z/m_1 + ... + Z/m_r kept in the
 decomposition the caller supplies.  Characters take values in Q/Z (an exact
-stand-in for roots of unity), homomorphisms are generator-image tables, and
-the integer linear algebra underneath everything is Smith normal form and
-Hermite bases over arbitrary-precision ints.  No floating point anywhere.
+stand-in for roots of unity), written as integer numerators n/L over the
+group exponent L; homomorphisms are generator-image tables, and the integer
+linear algebra underneath everything is Smith normal form and Hermite bases
+over arbitrary-precision ints.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -128,52 +129,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
 
 # ---------------------------------------------------------------------------
-# Root-of-unity exponents: exact elements of Q/Z
-
-
-@dataclass(frozen=True)
-class RootExponent:
-    """An element a/b of Q/Z, standing in for the root of unity exp(2*pi*i*a/b).
-
-    Canonical form: 0 <= num < den and gcd(num, den) = 1 (zero is 0/1).
-    Addition is rational addition mod 1.
-    """
-
-    num: int = 0
-    den: int = 1
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den < 0:
-            num, den = -num, -den
-        num %= den
-        g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num == 0
-
-    def __add__(self, other: "RootExponent") -> "RootExponent":
-        return RootExponent(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RootExponent":
-        return RootExponent(-self.num, self.den)
-
-    def __sub__(self, other: "RootExponent") -> "RootExponent":
-        return self + (-other)
-
-    def __mul__(self, k: int) -> "RootExponent":
-        return RootExponent(self.num * k, self.den)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
-
-
-# ---------------------------------------------------------------------------
 # Groups, elements, characters, homomorphisms
 
 
@@ -201,6 +156,12 @@ class AbelianGroup:
     @property
     def rank(self) -> int:
         return len(self.moduli)
+
+    @property
+    def exponent(self) -> int:
+        """lcm of the moduli (1 for the trivial group): every character
+        value is a multiple of 1/exponent in Q/Z."""
+        return lcm(*self.moduli)
 
     def element(self, residues) -> "Element":
         return Element(self, tuple(residues))
@@ -306,13 +267,18 @@ class Character:
         reduced = tuple(int(r) % m for r, m in zip(self.residues, self.group.moduli))
         object.__setattr__(self, "residues", reduced)
 
-    def __call__(self, e: Element) -> RootExponent:
+    def __call__(self, e: Element) -> int:
+        """The value at e as the numerator n in [0, L) of n/L, where
+        L = group.exponent.
+
+        >>> G = AbelianGroup((105,))
+        >>> G.character((1,))(G.element((5,)))  # 5/105 = 1/21
+        5
+        """
         if e.group != self.group:
             raise ValueError("element of a different group")
-        moduli = self.group.moduli
-        L = lcm(*moduli)
-        total = sum(c * x * (L // m) for c, x, m in zip(self.residues, e.residues, moduli))
-        return RootExponent(total, L)
+        L, moduli = self.group.exponent, self.group.moduli
+        return sum(c * x * (L // m) for c, x, m in zip(self.residues, e.residues, moduli)) % L
 
     def __mul__(self, other: "Character") -> "Character":
         if other.group != self.group:
@@ -432,25 +398,7 @@ def _hermite(moduli: tuple[int, ...], vectors) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Discrete logarithms and character congruences
-
-
-def discrete_log(base: RootExponent, target: RootExponent, order: int) -> int:
-    """The unique t in [0, order) with t*base = target in Q/Z.
-
-    Requires base = a/order with gcd(a, order) = 1, and target's denominator
-    dividing `order`.  The result is re-checked before returning.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    if base.den != order:
-        raise ValueError(f"base must have exact order {order}, got {base}")
-    if order % target.den:
-        raise ValueError(f"{target} does not lie in the group generated by {base}")
-    t = (pow(base.num, -1, order) * (target.num * (order // target.den))) % order
-    if t * base != target:
-        raise ArithmeticError("discrete log failed its own check")
-    return t
+# Character congruences
 
 
 def solve_character_congruences(
@@ -459,40 +407,32 @@ def solve_character_congruences(
     *,
     cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
 ) -> Character | None:
-    """A character chi of `group` with chi(g) = value for every (g, value)
-    constraint, or None when no such character exists.
+    """A character chi of `group` with chi(g) = a/ord(g) in Q/Z for every
+    (g, a) constraint, or None when no such character exists.
 
-    The congruences sum_j c_j g_j / m_j = value (mod 1) are cleared to a
-    single modulus L = lcm of all moduli and value denominators and solved by
-    Smith normal form.  When solutions exist the lexicographically smallest
-    one is returned, so the output is deterministic: the homogeneous
-    solutions form a lattice containing diag(m_1, ..., m_r), and reducing
-    the particular solution against its Hermite basis one coordinate at a
-    time (x_k mod pivot_k) gives the least point of the coset.  A None answer is
-    re-checked against full character enumeration while |G| stays within
-    `cross_check_limit`.
+    The congruences sum_j c_j g_j / m_j = a / ord(g) (mod 1) are cleared to
+    the group exponent L and solved by Smith normal form.  When solutions
+    exist the lexicographically smallest one is returned, so the output is
+    deterministic: the homogeneous solutions form a lattice containing
+    diag(m_1, ..., m_r), and reducing the particular solution against its
+    Hermite basis one coordinate at a time (x_k mod pivot_k) gives the least
+    point of the coset.  A None answer is re-checked against every residue
+    tuple while |G| stays within `cross_check_limit`.
     """
     constraints = list(constraints)
     r = group.rank
-    for g, value in constraints:
-        if g.group != group:
-            raise ValueError("constraint element of a different group")
-        if g.order() % value.den:
-            raise ValueError(
-                f"constraint value {value} has denominator not dividing ord({g}) = {g.order()}"
-            )
+    if any(g.group != group for g, _ in constraints):
+        raise ValueError("constraint element of a different group")
     if not constraints or r == 0:
-        # Any violated constraint on the trivial group was caught above
-        # (orders are 1, so all values are 0/1).
         return group.trivial_character()
 
-    L = lcm(*group.moduli, *(value.den for _, value in constraints))
+    L = group.exponent
     k = len(constraints)
     M = [
         [(g.residues[j] * (L // group.moduli[j])) % L for j in range(r)]
         for g, _ in constraints
     ]
-    b = [(value.num * (L // value.den)) % L for _, value in constraints]
+    b = [(a * (L // g.order())) % L for g, a in constraints]
 
     # Solve M c = b (mod L) as B (c; y) = b over Z with B = [M | L*I].
     B = [M[i] + [L if i == j else 0 for j in range(k)] for i in range(k)]
@@ -514,8 +454,13 @@ def solve_character_congruences(
             w[idx] = c[idx] // d
     if not solvable:
         if group.order <= cross_check_limit:
-            for chi in group.characters():
-                if all(chi(g) == value for g, value in constraints):
+            # Each constraint evaluated afresh by the formula of
+            # Character.__call__, independent of M.
+            steps = [L // m for m in group.moduli]
+            checks = [(g.residues, a * (L // g.order()) % L) for g, a in constraints]
+            for chi in itertools.product(*(range(m) for m in group.moduli)):
+                if all(sum(x * y * t for x, y, t in zip(chi, e, steps)) % L == n
+                       for e, n in checks):
                     raise ArithmeticError("congruence solver missed a solution")
         return None
     z = _mat_vec(V, w)
@@ -527,7 +472,7 @@ def solve_character_congruences(
         q = residues[j] // row[j]
         residues = [x - q * y for x, y in zip(residues, row)]
     chi = group.character(residues)
-    for g, value in constraints:
-        if chi(g) != value:
+    for g, a in constraints:
+        if chi(g) != a * (L // g.order()) % L:
             raise ArithmeticError("congruence solver produced a bad solution")
     return chi

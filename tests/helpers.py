@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the code paths under test:
 determinants come from rational Gaussian elimination, kernels and character
-searches from full enumeration, discrete logs from linear scans."""
+searches from full enumeration, discrete logs from linear scans, and values
+in Q/Z are Fractions reduced mod 1, computed from residues."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from abelcover import (
     Element,
     Hom,
     InvalidCoverData,
-    RootExponent,
     validate,
 )
 from abelcover.groups import closure
@@ -83,10 +83,17 @@ def brute_image(f: Hom) -> set[tuple[int, ...]]:
     return {f(e).residues for e in f.source.elements()}
 
 
+def character_value(chi, e) -> Fraction:
+    """chi(e) = sum_j c_j e_j / m_j in Q/Z, as a Fraction in [0, 1)."""
+    return sum((Fraction(c * x, m) for c, x, m in zip(chi.residues, e.residues, e.group.moduli)),
+               Fraction(0)) % 1
+
+
 def brute_character_solutions(group: AbelianGroup, constraints) -> list:
+    """Every character with chi(g) = a/ord(g) in Q/Z for each (g, a)."""
     out = []
     for chi in group.characters():
-        if all(chi(g) == value for g, value in constraints):
+        if all(character_value(chi, g) == Fraction(a, g.order()) % 1 for g, a in constraints):
             out.append(chi)
     return out
 
@@ -121,9 +128,10 @@ def brute_min_support(orders, kernel_gens) -> int | None:
     return min(supports, default=None)
 
 
-def brute_discrete_log(base: RootExponent, target: RootExponent, order: int) -> int | None:
+def brute_discrete_log(base: Fraction, target: Fraction, order: int) -> int | None:
+    """The least t in [0, order) with t*base = target in Q/Z, by scanning."""
     for t in range(order):
-        if t * base == target:
+        if (t * base - target) % 1 == 0:
             return t
     return None
 
@@ -167,7 +175,8 @@ def chain_law_oracle(data: CombinatorialData) -> bool:
                 break
         if t is None:
             return False
-        if t * RootExponent(top.char_residue, top.order) != datum.char_value:
+        if (t * Fraction(top.char_residue, top.order)
+                - Fraction(datum.char_residue, datum.order)) % 1:
             return False
     return True
 

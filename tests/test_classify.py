@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from time import perf_counter
 
 from abelcover import (
@@ -8,7 +9,6 @@ from abelcover import (
     LCI,
     NOT_LCI,
     NOT_SMOOTH,
-    RootExponent,
     SMOOTH_CONDITIONAL,
     UNKNOWN,
     build_fiber_ring,
@@ -32,6 +32,7 @@ from abelcover.classify import (
 )
 from helpers import (
     chain_law_oracle,
+    character_value,
     random_data,
     random_group,
     random_total_data,
@@ -83,7 +84,8 @@ class TestGorensteinLift:
                 continue
             hits += 1
             for datum in data.branch:
-                assert cert(datum.generator) == RootExponent(datum.char_residue, datum.order)
+                assert character_value(cert, datum.generator) == Fraction(
+                    datum.char_residue, datum.order)
         assert hits >= 5
 
     def test_lex_smallest_certificate_off_image(self):

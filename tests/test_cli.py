@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 from abelcover import validate
 from abelcover.cli import (
     DocumentError,
+    EXAMPLE_MAX_PRIME,
+    EXAMPLE_MAX_RANK,
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_LIMIT,
@@ -136,10 +140,13 @@ class TestCommands:
         second, _ = cmd_classify(parse_input(Z2CUBED_TEXT), as_json=True)
         assert first == second
 
-    def test_classify_invalid_data(self):
-        text, code = cmd_classify(
-            parse_input('{"group": [4], "branch": [{"generator": [1], "character": 2}]}'))
-        assert code == EXIT_INVALID
+    def test_classify_invalid_data(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"group": [4], "branch": [{"generator": [1], "character": 2}]}'))
+        assert main(["classify"]) == EXIT_INVALID
+        assert capsys.readouterr() == (
+            "invalid cover data: branch[0]: NonGeneratingCharacter: gcd(2, 4) != 1,"
+            " character does not generate the dual\n", "")
 
     def test_fiber_table(self):
         text, code = cmd_fiber(parse_input(Z2CUBED_TEXT), table=True)
@@ -147,9 +154,11 @@ class TestCommands:
         assert "fiber ring dimension: 8" in text
         assert "products" in text
 
-    def test_fiber_limit(self):
-        text, code = cmd_fiber(parse_input(Z2CUBED_TEXT), max_order=4)
-        assert code == EXIT_LIMIT
+    def test_fiber_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
+        assert main(["fiber", "--max-order", "4"]) == EXIT_LIMIT
+        assert capsys.readouterr() == (
+            "limit exceeded: group order 8 exceeds the fiber bound 4\n", "")
 
     def test_socle(self):
         text, code = cmd_socle(parse_input(Z3_TWO_DATUM_TEXT))
@@ -210,10 +219,31 @@ class TestRegistry:
             text, code = cmd_example_run(name, params)
             assert code == EXIT_OK, text
 
+    def test_largest_accepted_parameters(self):
+        # The three largest primes below 10^6, the largest rank, and the
+        # longest chain with p^n within 64 bits; one step past each bound is
+        # refused.
+        cases = [
+            ("zpqr", {"p": 999961, "q": 999979, "r": 999983, "alpha": 1, "beta": 1}),
+            ("elementary", {"p": 999983, "n": EXAMPLE_MAX_RANK}),
+            ("zpn-chain", {"p": 2, "n": 63, "s": 63}),
+        ]
+        start = perf_counter()
+        for name, params in cases:
+            text, code = cmd_example_run(name, params)
+            assert code == EXIT_OK, text
+        elapsed = perf_counter() - start
+        assert elapsed < 1, f"examples took {elapsed:.3f} s"
+        assert EXAMPLE_MAX_PRIME < 1000003
+        for name, params in [("zpqr", {"r": 1000003}),
+                             ("elementary", {"n": EXAMPLE_MAX_RANK + 1}),
+                             ("zpn-chain", {"p": 2, "n": 64, "s": 2})]:
+            with pytest.raises(RegistryError):
+                examples_registry(name, params)
+
 
 class TestMain:
     def test_classify_stdin(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
         code = main(["classify", "--json"])
         out = capsys.readouterr().out
@@ -233,8 +263,21 @@ class TestMain:
         assert main(["example", "run", "nonesuch"]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["example", "run", "zpqr", "--param", "r=1000000000000000003"],
+        ["example", "run", "elementary", "--param", "n=2000"],
+        ["example", "run", "zpn-chain", "--param", "n=20000", "--param", "s=2"],
+        ["example", "show", "zpn-chain", "--param", "n=10000000", "--param", "s=1"],
+    ])
+    def test_example_parameters_out_of_range(self, args, capsys):
+        start = perf_counter()
+        assert main(args) == EXIT_INVALID
+        assert perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_syntax_error_exit(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
         assert main(["classify"]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
@@ -256,27 +299,23 @@ class TestMain:
         return captured.err
 
     def test_integer_past_digit_limit(self, capsys, monkeypatch):
-        import io
         text = '{"group": [' + "7" * 5000 + '], "branch": []}'
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["classify"]) == EXIT_INVALID
         assert self._single_error_line(capsys).startswith("error: $: ")
 
     def test_nesting_past_recursion_limit(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 10**5))
         assert main(["classify"]) == EXIT_INVALID
         assert self._single_error_line(capsys).startswith("error: $: ")
 
     def test_negative_max_degree(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
         assert main(["hilbert", "--max-degree", "-1"]) == EXIT_INVALID
         assert self._single_error_line(capsys).startswith("error: --max-degree: ")
 
     @pytest.mark.parametrize("command", ["classify", "fiber", "socle", "hilbert"])
     def test_max_order_below_one(self, command, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
         assert main([command, "--max-order", "0"]) == EXIT_INVALID
         assert self._single_error_line(capsys) == "error: --max-order: must be >= 1, got 0\n"
@@ -285,7 +324,6 @@ class TestMain:
         # A disagreement between Gorenstein routes is a bug: one located
         # line, then the canonical input as a one-line reproducer, exit 3.
         import importlib
-        import io
         decider = importlib.import_module("abelcover.classify")
         sl_test = decider.gorenstein_watanabe
         monkeypatch.setattr(decider, "gorenstein_watanabe",

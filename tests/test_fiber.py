@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from time import perf_counter
 
@@ -9,7 +10,6 @@ from abelcover import (
     BranchDatum,
     CombinatorialData,
     LimitExceeded,
-    RootExponent,
     build_fiber_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
@@ -20,6 +20,7 @@ from abelcover import (
 from abelcover.classify import gorenstein_lift
 from helpers import (
     brute_discrete_log,
+    character_value,
     dual_numbers_data,
     random_total_data,
     series_counts,
@@ -110,10 +111,11 @@ class TestEpsilon:
         for _ in range(10):
             data = random_total_data(rng, max_order=48, max_branch=4)
             ring = build_fiber_ring(data)
-            bases = [RootExponent(datum.char_residue, datum.order) for datum in data.branch]
+            bases = [Fraction(datum.char_residue, datum.order) for datum in data.branch]
 
             def scan(chi):
-                return tuple(brute_discrete_log(base, chi(datum.generator), datum.order)
+                return tuple(brute_discrete_log(base, character_value(chi, datum.generator),
+                                                datum.order)
                              for base, datum in zip(bases, data.branch))
 
             characters = list(ring.group.characters())

@@ -1,5 +1,6 @@
 import random
-from math import gcd, prod
+from fractions import Fraction
+from math import prod
 from time import perf_counter
 
 import pytest
@@ -10,13 +11,12 @@ from abelcover import (
     BranchDatum,
     CombinatorialData,
     Hom,
-    RootExponent,
-    discrete_log,
     ramification_factorization,
     smith_normal_form,
     solve_character_congruences,
     sum_map,
 )
+import abelcover.groups
 from abelcover.groups import _hermite, closure
 from helpers import (
     assert_snf_contract,
@@ -24,6 +24,7 @@ from helpers import (
     brute_element_order,
     brute_image,
     brute_kernel,
+    character_value,
     lex_least_in_coset,
     random_group,
 )
@@ -233,38 +234,24 @@ class TestHermite:
                                    for _ in range(rng.randint(0, 4))])
 
 
-class TestRootExponent:
-    def test_canonicalization(self):
-        assert RootExponent(3, 2) == RootExponent(1, 2)
-        assert RootExponent(-1, 4) == RootExponent(3, 4)
-        assert RootExponent(4, 2) == RootExponent(0, 1)
-
-    def test_arithmetic(self):
-        half = RootExponent(1, 2)
-        third = RootExponent(1, 3)
-        assert half + third == RootExponent(5, 6)
-        assert half + half == RootExponent(0, 1)
-        assert -third == RootExponent(2, 3)
-        assert 3 * third == RootExponent(0, 1)
-
-
 class TestCharacters:
     def test_trivial_character(self):
         G = AbelianGroup((2, 2, 2))
         chi = G.trivial_character()
         for e in G.elements():
-            assert chi(e) == RootExponent(0, 1)
+            assert chi(e) == 0
 
     def test_sum_of_generators(self):
         G = AbelianGroup((2, 2, 2))
         chi = G.character((1, 1, 1))
         e = G.element((1, 1, 1))
-        assert chi(e) == RootExponent(1, 2)
+        assert chi(e) == 1  # 1/2
 
     def test_z105(self):
         G = AbelianGroup((105,))
         chi = G.character((1,))
-        assert chi(G.element((5,))) == RootExponent(1, 21)
+        assert G.exponent == 105
+        assert chi(G.element((5,))) == 5  # 5/105 = 1/21
 
     def test_character_count(self):
         G = AbelianGroup((2, 3, 4))
@@ -278,35 +265,24 @@ class TestCharacters:
         pick = lambda: [rng.randrange(m) for m in moduli]
         chi, chi2 = G.character(pick()), G.character(pick())
         e, e2 = G.element(pick()), G.element(pick())
-        assert chi(e + e2) == chi(e) + chi(e2)
-        assert (chi * chi2)(e) == chi(e) + chi2(e)
+        L = G.exponent
+        assert chi(e + e2) == (chi(e) + chi(e2)) % L
+        assert (chi * chi2)(e) == (chi(e) + chi2(e)) % L
 
+    def test_exponent(self):
+        assert AbelianGroup(()).exponent == 1
+        assert AbelianGroup((4, 6, 3)).exponent == 12
 
-class TestDiscreteLog:
-    def test_direct_multiple(self):
-        assert discrete_log(RootExponent(1, 4), RootExponent(3, 4), 4) == 3
-
-    def test_identity_target(self):
-        assert discrete_log(RootExponent(3, 7), RootExponent(0, 1), 7) == 0
-
-    def test_inverse_needed(self):
-        assert discrete_log(RootExponent(3, 10), RootExponent(1, 10), 10) == 7
-
-    def test_round_trip_exhaustive(self):
-        for d in range(1, 65):
-            for a in range(d):
-                if gcd(a, d) != 1 or (d > 1 and a == 0):
-                    continue
-                base = RootExponent(a, d)
-                if base.den != d:
-                    continue
-                for t in range(d):
-                    target = t * base
-                    assert discrete_log(base, target, d) == t
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            discrete_log(RootExponent(1, 4), RootExponent(1, 3), 4)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_numerator_over_the_exponent(self, seed):
+        # chi(e) = n means n / exponent; compare with the exact Fraction sum.
+        rng = random.Random(seed)
+        G = random_group(rng, max_order=512, max_rank=4)
+        chi = G.character([rng.randrange(m) for m in G.moduli])
+        e = G.element([rng.randrange(m) for m in G.moduli])
+        n = chi(e)
+        assert 0 <= n < G.exponent
+        assert Fraction(n, G.exponent) == character_value(chi, e)
 
 
 class TestSolveCharacterCongruences:
@@ -317,23 +293,22 @@ class TestSolveCharacterCongruences:
     def test_z2cubed_system(self):
         G = AbelianGroup((2, 2, 2))
         e1, e2, e3 = G.generators()
-        half = RootExponent(1, 2)
         chi = solve_character_congruences(
-            G, [(e1, half), (e2, half), (e3, half), (e1 + e2 + e3, half)])
+            G, [(e1, 1), (e2, 1), (e3, 1), (e1 + e2 + e3, 1)])
         assert chi == G.character((1, 1, 1))
 
     def test_contradiction(self):
         G = AbelianGroup((3,))
         one = G.element((1,))
         assert solve_character_congruences(
-            G, [(one, RootExponent(1, 3)), (one, RootExponent(2, 3))]) is None
+            G, [(one, 1), (one, 2)]) is None
 
     def test_lex_minimal_choice(self):
         # Constraining only the second coordinate leaves the first free:
         # the returned character must zero it.
         G = AbelianGroup((4, 4))
         g = G.element((0, 1))
-        chi = solve_character_congruences(G, [(g, RootExponent(1, 4))])
+        chi = solve_character_congruences(G, [(g, 1)])
         assert chi == G.character((0, 1))
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -350,19 +325,19 @@ class TestSolveCharacterCongruences:
             hidden = G.character([rng.randrange(m) for m in moduli])
             for _ in range(k):
                 g = G.element([rng.randrange(m) for m in moduli])
-                constraints.append((g, hidden(g)))
+                constraints.append((g, int(character_value(hidden, g) * g.order())))
         else:
             for _ in range(k):
                 g = G.element([rng.randrange(m) for m in moduli])
-                d = g.order()
-                constraints.append((g, RootExponent(rng.randrange(d), d)))
+                constraints.append((g, rng.randrange(g.order())))
         solutions = brute_character_solutions(G, constraints)
         found = solve_character_congruences(G, constraints)
         if not solutions:
             assert found is None
         else:
             assert found is not None
-            assert all(found(g) == v for g, v in constraints)
+            assert all(character_value(found, g) == Fraction(a, g.order()) % 1
+                       for g, a in constraints)
             assert found.residues == min(chi.residues for chi in solutions)
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -372,8 +347,9 @@ class TestSolveCharacterCongruences:
         hidden = G.character([rng.randrange(m) for m in G.moduli])
         elements = [G.element([rng.randrange(m) for m in G.moduli])
                     for _ in range(rng.randint(1, 3))]
-        found = solve_character_congruences(G, [(g, hidden(g)) for g in elements])
-        homogeneous = brute_character_solutions(G, [(g, RootExponent()) for g in elements])
+        found = solve_character_congruences(
+            G, [(g, int(character_value(hidden, g) * g.order())) for g in elements])
+        homogeneous = brute_character_solutions(G, [(g, 0) for g in elements])
         assert found.residues == lex_least_in_coset(
             G.moduli, hidden.residues, [chi.residues for chi in homogeneous])
 
@@ -384,7 +360,7 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((p, p, p))
         g = G.element((5, 7, 11))
         start = perf_counter()
-        chi = solve_character_congruences(G, [(g, RootExponent(1, p))])
+        chi = solve_character_congruences(G, [(g, 1)])
         elapsed = perf_counter() - start
         # Per coordinate, the least value that leaves sum c_j g_j = 1 (mod p)
         # solvable in the coordinates after it.
@@ -395,3 +371,27 @@ class TestSolveCharacterCongruences:
             rest = (rest - c * x) % p
         assert chi.residues == tuple(expected) == (0, 0, 367)
         assert elapsed < 0.05, f"solve took {elapsed:.3f} s"
+
+    def test_missed_solution_is_caught(self, monkeypatch):
+        # A Smith form with a zero diagonal makes the solvable chi((1, 1)) = 1/4
+        # on Z/4 + Z/2 look unsolvable; the re-check over all of G finds a
+        # solution and refuses the None.
+        real = abelcover.groups.smith_normal_form
+
+        def zero_diagonal(matrix):
+            U, D, V = real(matrix)
+            return U, [[0] * len(row) for row in D], V
+
+        monkeypatch.setattr(abelcover.groups, "smith_normal_form", zero_diagonal)
+        G = AbelianGroup((4, 2))
+        with pytest.raises(ArithmeticError, match="congruence solver missed a solution"):
+            solve_character_congruences(G, [(G.element((1, 1)), 1)])
+
+    def test_bad_solution_is_caught(self, monkeypatch):
+        # A Hermite basis with unit pivots reduces every particular solution
+        # to the trivial character, which does not satisfy chi((1, 1)) = 1/4.
+        monkeypatch.setattr(abelcover.groups, "_hermite", lambda moduli, vectors: [
+            [int(i == j) for j in range(len(moduli))] for i in range(len(moduli))])
+        G = AbelianGroup((4, 2))
+        with pytest.raises(ArithmeticError, match="congruence solver produced a bad solution"):
+            solve_character_congruences(G, [(G.element((1, 1)), 1)])
