@@ -10,8 +10,9 @@ character group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, lcm
+from operator import add
 
 from .groups import AbelianGroup, Character, DEFAULT_ENUMERATION_LIMIT, LimitExceeded
 from .cover import CombinatorialData, SumMapPresentation
@@ -30,12 +31,14 @@ class FiberRing:
 
     Basis index k is the character whose residues are the mixed-radix
     digits of k against the group's moduli (lexicographic residue order);
-    `alphas[k]` is its exponent vector.  The trivial character (index 0) is
-    the identity; all nonzero structure constants are 1."""
+    `alphas[k]` is its exponent vector and `positions` maps it back to k.
+    The trivial character (index 0) is the identity; all nonzero structure
+    constants are 1."""
 
     group: AbelianGroup
     orders: tuple[int, ...]
     alphas: tuple[tuple[int, ...], ...]
+    positions: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -58,17 +61,12 @@ class FiberRing:
         return self.alphas[self.index(chi)]
 
     def product_index(self, i: int, j: int) -> int | None:
-        """Index of w_i * w_j in the basis, or None for the zero product."""
-        a, b = self.alphas[i], self.alphas[j]
-        if any(x + y >= d for x, y, d in zip(a, b, self.orders)):
-            return None
-        idx, place = 0, 1
-        for m in reversed(self.group.moduli):
-            i, x = divmod(i, m)
-            j, y = divmod(j, m)
-            idx += place * ((x + y) % m)
-            place *= m
-        return idx
+        """Index of w_i * w_j in the basis, or None for the zero product.
+
+        Without overflow the sum of the exponent vectors is the exponent
+        vector of the product; with overflow it leaves the box, where no
+        exponent vector of the ring lies."""
+        return self.positions.get(tuple(map(add, self.alphas[i], self.alphas[j])))
 
     def product(self, chi: Character, chi2: Character) -> Character | None:
         idx = self.product_index(self.index(chi), self.index(chi2))
@@ -113,11 +111,12 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 grown.append(a)
                 a = tuple((x + y) % d for x, y, d in zip(a, step, orders))
         alphas = grown
-    if len(set(alphas)) != n:
+    positions = {a: k for k, a in enumerate(alphas)}
+    if len(positions) != n:
         raise ValueError(
             "data is not totally ramified; classify factors covers first "
             "(ramification_factorization) and works on the restricted part")
-    return FiberRing(data.group, orders, tuple(alphas))
+    return FiberRing(data.group, orders, tuple(alphas), positions)
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:

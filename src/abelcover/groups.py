@@ -35,10 +35,6 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_vec(matrix: list[list[int]], vector: list[int]) -> list[int]:
-    return [sum(a * x for a, x in zip(row, vector)) for row in matrix]
-
-
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Diagonalize an integer matrix: returns (U, D, V) with U*A*V = D.
 
@@ -174,19 +170,6 @@ class AbelianGroup:
             Element(self, tuple(1 if i == j else 0 for i in range(self.rank)))
             for j in range(self.rank)
         )
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Invariant-factor moduli d_1 | d_2 | ... of this group, from the
-        Smith normal form of its diagonal relation matrix.  Offered as an
-        explicit normalization; nothing in the package applies it behind the
-        caller's back."""
-        n = self.rank
-        diag = [[self.moduli[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        _, D, _ = smith_normal_form(diag)
-        return tuple(D[i][i] for i in range(n) if D[i][i] > 1)
-
-    def normalized(self) -> "AbelianGroup":
-        return AbelianGroup(self.invariant_factors())
 
     def elements(self):
         """All elements in lexicographic residue order.  O(|G|), no guard."""
@@ -401,23 +384,24 @@ def _hermite(moduli: tuple[int, ...], vectors) -> list[list[int]]:
 # Character congruences
 
 
-def solve_character_congruences(
-    group: AbelianGroup,
-    constraints,
-    *,
-    cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
-) -> Character | None:
+def solve_character_congruences(group: AbelianGroup, constraints) -> Character | None:
     """A character chi of `group` with chi(g) = a/ord(g) in Q/Z for every
     (g, a) constraint, or None when no such character exists.
 
     The congruences sum_j c_j g_j / m_j = a / ord(g) (mod 1) are cleared to
-    the group exponent L and solved by Smith normal form.  When solutions
-    exist the lexicographically smallest one is returned, so the output is
-    deterministic: the homogeneous solutions form a lattice containing
-    diag(m_1, ..., m_r), and reducing the particular solution against its
-    Hermite basis one coordinate at a time (x_k mod pivot_k) gives the least
-    point of the coset.  A None answer is re-checked against every residue
-    tuple while |G| stays within `cross_check_limit`.
+    the group exponent L: M c = b (mod L), one row per constraint.  The
+    graph vectors v_j = (M e_j, e_j) in (Z/L)^k + G span {(M c, c)}, and one
+    Hermite basis of them under the moduli (L,)*k + (m_1, ..., m_r) is a
+    triangular basis of span(graph, diag(moduli)) (see _hermite), so
+    reduction through it decides membership.  Reducing (b, 0) through the
+    first k rows succeeds exactly when b lies in the image of M, and leaves
+    (0, -c) for a solution c.  Rows k, ... are zero on the first k
+    coordinates, and since every pivot is positive they span all of
+    {(0, c) : M c = 0 (mod L)}, the homogeneous solutions.  Reducing c
+    against them one coordinate at a time (x_j mod pivot_j) gives the
+    lexicographically smallest solution, so the output is deterministic.
+    A None answer is re-checked against every residue tuple while |G| stays
+    within DEFAULT_CROSS_CHECK_LIMIT.
     """
     constraints = list(constraints)
     r = group.rank
@@ -428,49 +412,32 @@ def solve_character_congruences(
 
     L = group.exponent
     k = len(constraints)
-    M = [
-        [(g.residues[j] * (L // group.moduli[j])) % L for j in range(r)]
-        for g, _ in constraints
-    ]
     b = [(a * (L // g.order())) % L for g, a in constraints]
-
-    # Solve M c = b (mod L) as B (c; y) = b over Z with B = [M | L*I].
-    B = [M[i] + [L if i == j else 0 for j in range(k)] for i in range(k)]
-    U, D, V = smith_normal_form(B)
-    rank = sum(1 for i in range(k) if D[i][i])
-    c = _mat_vec(U, b)
-    w = [0] * (r + k)
-    solvable = True
-    for idx in range(k):
-        d = D[idx][idx]
-        if d == 0:
-            if c[idx] != 0:
-                solvable = False
-                break
-        elif c[idx] % d:
-            solvable = False
-            break
-        else:
-            w[idx] = c[idx] // d
-    if not solvable:
-        if group.order <= cross_check_limit:
-            # Each constraint evaluated afresh by the formula of
-            # Character.__call__, independent of M.
-            steps = [L // m for m in group.moduli]
-            checks = [(g.residues, a * (L // g.order()) % L) for g, a in constraints]
-            for chi in itertools.product(*(range(m) for m in group.moduli)):
-                if all(sum(x * y * t for x, y, t in zip(chi, e, steps)) % L == n
-                       for e, n in checks):
-                    raise ArithmeticError("congruence solver missed a solution")
-        return None
-    z = _mat_vec(V, w)
-    # Columns rank, ..., r + k - 1 of V span the integer solutions of
-    # B (c; y) = 0; their first r entries span the homogeneous lattice.
-    hom_gens = [[V[i][idx] for i in range(r)] for idx in range(rank, r + k)]
-    residues = [x % m for x, m in zip(z, group.moduli)]
-    for j, row in enumerate(_hermite(group.moduli, hom_gens)):
-        q = residues[j] // row[j]
-        residues = [x - q * y for x, y in zip(residues, row)]
+    moduli = (L,) * k + group.moduli
+    graph = [
+        [g.residues[j] * (L // m) % L for g, _ in constraints] + [int(i == j) for i in range(r)]
+        for j, m in enumerate(group.moduli)
+    ]
+    rows = _hermite(moduli, graph)
+    x = b + [0] * r
+    for t in range(k):
+        if x[t] % rows[t][t]:
+            if group.order <= DEFAULT_CROSS_CHECK_LIMIT:
+                # Each constraint evaluated afresh by the formula of
+                # Character.__call__, independent of the graph vectors.
+                steps = [L // m for m in group.moduli]
+                checks = [(g.residues, a * (L // g.order()) % L) for g, a in constraints]
+                for chi in itertools.product(*(range(m) for m in group.moduli)):
+                    if all(sum(c * y * s for c, y, s in zip(chi, e, steps)) % L == n
+                           for e, n in checks):
+                        raise ArithmeticError("congruence solver missed a solution")
+            return None
+        q = x[t] // rows[t][t]
+        x = [(a - q * h) % m for a, h, m in zip(x, rows[t], moduli)]
+    residues = [-a % m for a, m in zip(x[k:], group.moduli)]
+    for j, row in enumerate(rows[k:]):
+        q = residues[j] // row[k + j]
+        residues = [a - q * h for a, h in zip(residues, row[k:])]
     chi = group.character(residues)
     for g, a in constraints:
         if chi(g) != a * (L // g.order()) % L:

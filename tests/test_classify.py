@@ -30,6 +30,9 @@ from abelcover.classify import (
     REASON_OPEN_CASE,
     REASON_RIGID_QUOTIENT,
 )
+import abelcover.cover
+import abelcover.groups
+from abelcover.cli import examples_registry
 from helpers import (
     chain_law_oracle,
     character_value,
@@ -92,6 +95,26 @@ class TestGorensteinLift:
         # <5> in Z/105 leaves 5 lifting characters; the least residue is alpha mod 21.
         cert = gorenstein_lift(single_datum_z105())
         assert cert is not None and cert.residues == (1,)
+
+    def test_lift_needs_no_smith_form(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(abelcover.groups, "smith_normal_form", refuse)
+        monkeypatch.setattr(abelcover.cover, "smith_normal_form", refuse)
+        cases = [
+            ("z2cubed", {}, (1, 1, 1)),
+            ("zpqr", {}, (1,)),
+            ("zpqr", {"alpha": 2}, None),
+            ("zpqr", {"p": 5, "q": 7, "r": 11, "alpha": 3, "beta": 3}, (3,)),
+            ("zpn-chain", {}, (1,)),
+            ("zpn-chain", {"p": 3, "n": 4, "s": 4, "c": 2}, (2,)),
+            ("elementary", {}, (1, 1, 1)),
+            ("elementary", {"p": 5, "n": 4}, (1, 1, 1, 1)),
+        ]
+        for name, params, expected in cases:
+            cert = gorenstein_lift(examples_registry(name, params).to_data())
+            assert (None if cert is None else cert.residues) == expected, (name, params)
 
 
 class TestGorensteinWatanabe:

@@ -192,6 +192,7 @@ class TestFiberRing:
                     else:
                         assert all(e == 0 for e in eps)
                         assert degs[k] == degs[i] + degs[j]
+                        assert k == ring.index(characters[i] * characters[j])
 
 
 def ring_axioms_hold(ring):

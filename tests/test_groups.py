@@ -100,25 +100,6 @@ class TestSmithNormalForm:
             assert [d for d in diag if d] == [int(x) for x in expected if x], A
 
 
-class TestInvariantFactors:
-    def test_coprime_moduli_merge(self):
-        assert AbelianGroup((2, 3)).invariant_factors() == (6,)
-
-    def test_divisibility_chain(self):
-        G = AbelianGroup((4, 6))
-        factors = G.invariant_factors()
-        assert factors == (2, 12)
-        assert G.normalized().order == G.order
-
-    def test_not_applied_implicitly(self):
-        G = AbelianGroup((2, 3))
-        assert G.moduli == (2, 3)
-        assert G.normalized().moduli == (6,)
-
-    def test_trivial(self):
-        assert AbelianGroup(()).invariant_factors() == ()
-
-
 class TestElementOrder:
     def test_standard_generator(self):
         G = AbelianGroup((2, 2, 2))
@@ -372,17 +353,41 @@ class TestSolveCharacterCongruences:
         assert chi.residues == tuple(expected) == (0, 0, 367)
         assert elapsed < 0.05, f"solve took {elapsed:.3f} s"
 
+    def test_wide_system_is_fast(self):
+        # 24 lines in (Z/10007)^12: no normal form with growing entries.
+        p, r = 10007, 12
+        rng = random.Random(12)
+        G = AbelianGroup((p,) * r)
+        hidden = G.character([rng.randrange(p) for _ in range(r)])
+        elements = [G.element([rng.randrange(p) for _ in range(r)]) for _ in range(2 * r)]
+        constraints = [(g, int(character_value(hidden, g) * g.order())) for g in elements]
+        start = perf_counter()
+        chi = solve_character_congruences(G, constraints)
+        elapsed = perf_counter() - start
+        assert chi is not None
+        assert all(character_value(chi, g) == Fraction(a, g.order()) % 1
+                   for g, a in constraints)
+        assert elapsed < 0.05, f"solvable solve took {elapsed:.3f} s"
+
+        g, a = constraints[0]
+        start = perf_counter()
+        chi = solve_character_congruences(G, constraints + [(g, (a + 1) % g.order())])
+        elapsed = perf_counter() - start
+        assert chi is None
+        assert elapsed < 0.05, f"unsolvable solve took {elapsed:.3f} s"
+
     def test_missed_solution_is_caught(self, monkeypatch):
-        # A Smith form with a zero diagonal makes the solvable chi((1, 1)) = 1/4
+        # A first Hermite pivot of L = 4 makes the solvable chi((1, 1)) = 1/4
         # on Z/4 + Z/2 look unsolvable; the re-check over all of G finds a
         # solution and refuses the None.
-        real = abelcover.groups.smith_normal_form
+        real = abelcover.groups._hermite
 
-        def zero_diagonal(matrix):
-            U, D, V = real(matrix)
-            return U, [[0] * len(row) for row in D], V
+        def widened_pivot(moduli, vectors):
+            rows = real(moduli, vectors)
+            rows[0][0] = moduli[0]
+            return rows
 
-        monkeypatch.setattr(abelcover.groups, "smith_normal_form", zero_diagonal)
+        monkeypatch.setattr(abelcover.groups, "_hermite", widened_pivot)
         G = AbelianGroup((4, 2))
         with pytest.raises(ArithmeticError, match="congruence solver missed a solution"):
             solve_character_congruences(G, [(G.element((1, 1)), 1)])
