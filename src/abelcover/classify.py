@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .groups import (
-    Character,
-    DEFAULT_ENUMERATION_LIMIT,
-    solve_character_congruences,
-)
+from .groups import Character, solve_character_congruences
 from .cover import (
     CombinatorialData,
     KernelDescription,
@@ -162,7 +158,6 @@ def classify(
     data: CombinatorialData,
     *,
     fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> ClassificationReport:
     """Full local classification of valid combinatorial data.
 
@@ -176,7 +171,7 @@ def classify(
     the report; the lift and SL routes always run.
     """
     presentation = ramification_factorization(data)
-    kd = kernel_K(data, presentation, enumeration_limit=enumeration_limit)
+    kd = kernel_K(data, presentation)
     restricted = presentation.restricted
 
     certificate = gorenstein_lift(data)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable
 
-from .groups import AbelianGroup, LimitExceeded
+from .groups import LimitExceeded
 from .cover import (
     BranchDatum,
     CombinatorialData,
@@ -63,49 +63,15 @@ class RegistryError(ValueError):
 # Documents
 
 
-@dataclass(frozen=True)
-class BranchEntry:
-    generator: tuple[int, ...]
-    character: int
-
-
-@dataclass(frozen=True)
-class CoverDocument:
-    group: tuple[int, ...]
-    branch: tuple[BranchEntry, ...]
-
-    def to_data(self) -> CombinatorialData:
-        grp = AbelianGroup(self.group)
-        return CombinatorialData(
-            grp,
-            tuple(BranchDatum(grp.element(entry.generator), entry.character)
-                  for entry in self.branch),
-        )
-
-    @classmethod
-    def from_data(cls, data: CombinatorialData) -> "CoverDocument":
-        return cls(data.group.moduli, tuple(
-            BranchEntry(datum.generator.residues, datum.char_residue)
-            for datum in data.branch))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": list(self.group),
-            "branch": [
-                {"generator": list(entry.generator), "character": entry.character}
-                for entry in self.branch
-            ],
-        }
-
-
 def _expect_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(where, f"expected an integer, got {value!r}")
     return value
 
 
-def parse_input(text: str) -> CoverDocument:
+def parse_input(text: str) -> CombinatorialData:
     """Parse a cover document, rejecting unknown fields and malformed shapes.
+    The data is not validated; every command validates it first.
 
     Errors carry the JSON path (or line/column for syntax errors)."""
     try:
@@ -153,11 +119,11 @@ def parse_input(text: str) -> CoverDocument:
                 f"expected {len(moduli)} residues, got {len(gen)}")
         residues = tuple(_expect_int(x, f"{where}.generator[{j}]") for j, x in enumerate(gen))
         character = _expect_int(entry["character"], f"{where}.character")
-        branch.append(BranchEntry(residues, character))
-    return CoverDocument(tuple(moduli), tuple(branch))
+        branch.append((residues, character))
+    return CombinatorialData.from_residues(moduli, branch)
 
 
-def print_document(doc: CoverDocument) -> str:
+def print_document(doc: CombinatorialData) -> str:
     return json.dumps(doc.to_json_dict(), indent=2) + "\n"
 
 
@@ -262,13 +228,13 @@ def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     return (a1 + m1 * t) % l
 
 
-def _build_z2cubed(p: dict) -> CoverDocument:
-    return CoverDocument((2, 2, 2), (
-        BranchEntry((1, 0, 0), 1),
-        BranchEntry((0, 1, 0), 1),
-        BranchEntry((0, 0, 1), 1),
-        BranchEntry((1, 1, 1), 1),
-    ))
+def _build_z2cubed(p: dict) -> CombinatorialData:
+    return CombinatorialData.from_residues((2, 2, 2), [
+        ((1, 0, 0), 1),
+        ((0, 1, 0), 1),
+        ((0, 0, 1), 1),
+        ((1, 1, 1), 1),
+    ])
 
 
 def _expected_z2cubed(p: dict) -> dict:
@@ -297,13 +263,13 @@ def _check_zpqr(p: dict) -> None:
         raise RegistryError(f"beta = {p['beta']} must be coprime to p*q = {pp * q}")
 
 
-def _build_zpqr(p: dict) -> CoverDocument:
+def _build_zpqr(p: dict) -> CombinatorialData:
     _check_zpqr(p)
     pp, q, r = p["p"], p["q"], p["r"]
-    return CoverDocument((pp * q * r,), (
-        BranchEntry((q,), p["alpha"] % (pp * r)),
-        BranchEntry((r,), p["beta"] % (pp * q)),
-    ))
+    return CombinatorialData.from_residues((pp * q * r,), [
+        ((q,), p["alpha"]),
+        ((r,), p["beta"]),
+    ])
 
 
 def _expected_zpqr(p: dict) -> dict:
@@ -337,17 +303,14 @@ def _check_zpn(p: dict) -> None:
         raise RegistryError(f"c = {p['c']} must be coprime to p = {p['p']}")
 
 
-def _build_zpn_chain(p: dict) -> CoverDocument:
+def _build_zpn_chain(p: dict) -> CombinatorialData:
     """Chain data on the cyclic group of order p^n: the s subgroups of orders
     p^(n-s+1) < ... < p^n with characters all restricted from one generator
     of the dual, the canonical Gorenstein configuration."""
     _check_zpn(p)
     pp, n, s, c = p["p"], p["n"], p["s"], p["c"]
-    entries = []
-    for i in range(1, s + 1):
-        k = n - s + i
-        entries.append(BranchEntry((pp ** (n - k),), c % (pp ** k)))
-    return CoverDocument((pp ** n,), tuple(entries))
+    return CombinatorialData.from_residues(
+        (pp ** n,), [((pp ** (n - k),), c) for k in range(n - s + 1, n + 1)])
 
 
 def _expected_zpn_chain(p: dict) -> dict:
@@ -384,16 +347,13 @@ def _check_elementary(p: dict) -> None:
         raise RegistryError(f"n must lie in [1, {EXAMPLE_MAX_RANK}], got {p['n']}")
 
 
-def _build_elementary(p: dict) -> CoverDocument:
+def _build_elementary(p: dict) -> CombinatorialData:
     """The locally simple configuration on (Z/p)^n: the n coordinate
     subgroups, each with character residue 1."""
     _check_elementary(p)
     pp, n = p["p"], p["n"]
-    entries = tuple(
-        BranchEntry(tuple(1 if j == i else 0 for j in range(n)), 1)
-        for i in range(n)
-    )
-    return CoverDocument((pp,) * n, entries)
+    return CombinatorialData.from_residues(
+        (pp,) * n, [(tuple(1 if j == i else 0 for j in range(n)), 1) for i in range(n)])
 
 
 def _expected_elementary(p: dict) -> dict:
@@ -415,7 +375,7 @@ class ExampleEntry:
     name: str
     summary: str
     defaults: dict
-    build: Callable[[dict], CoverDocument]
+    build: Callable[[dict], CombinatorialData]
     expected: Callable[[dict], dict]
 
 
@@ -451,8 +411,9 @@ REGISTRY = {
 }
 
 
-def examples_registry(name: str, params: dict | None = None) -> CoverDocument:
-    """The document of a named built-in example, with parameter overrides."""
+def _example(name: str, params: dict | None) -> tuple[ExampleEntry, dict]:
+    """The registry entry of a named example and its parameters: the
+    defaults with the overrides in `params`."""
     if name not in REGISTRY:
         raise RegistryError(
             f"unknown example '{name}'; known: {', '.join(sorted(REGISTRY))}")
@@ -464,23 +425,25 @@ def examples_registry(name: str, params: dict | None = None) -> CoverDocument:
                 f"example '{name}' has no parameter '{key}'; "
                 f"known: {', '.join(sorted(entry.defaults)) or 'none'}")
         merged[key] = value
+    return entry, merged
+
+
+def examples_registry(name: str, params: dict | None = None) -> CombinatorialData:
+    """The document of a named built-in example, with parameter overrides."""
+    entry, merged = _example(name, params)
     return entry.build(merged)
 
 
 def expected_report(name: str, params: dict | None = None) -> dict:
-    entry = REGISTRY[name]
-    merged = dict(entry.defaults)
-    merged.update(params or {})
+    """The verdicts a named built-in example must reach."""
+    entry, merged = _example(name, params)
     return entry.expected(merged)
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (text, exit code).  Invalid cover data and hit
-# limits propagate to `main`, which reports both on stdout.
-
-
-def _validated(doc: CoverDocument) -> CombinatorialData:
-    return validate(doc.to_data())
+# Commands: each takes parsed, unvalidated data and returns (text, exit
+# code).  Invalid cover data and hit limits propagate to `main`, which
+# reports both on stdout.
 
 
 def _check_max_order(max_order: int) -> None:
@@ -488,9 +451,9 @@ def _check_max_order(max_order: int) -> None:
         raise DocumentError("--max-order", f"must be >= 1, got {max_order}")
 
 
-def cmd_validate(doc: CoverDocument) -> tuple[str, int]:
+def cmd_validate(doc: CombinatorialData) -> tuple[str, int]:
     try:
-        data = _validated(doc)
+        data = validate(doc)
     except InvalidCoverData as exc:
         lines = ["invalid cover data:"]
         lines += [f"  {issue}" for issue in exc.issues]
@@ -500,20 +463,20 @@ def cmd_validate(doc: CoverDocument) -> tuple[str, int]:
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_classify(doc: CoverDocument, *, as_json: bool = False,
+def cmd_classify(doc: CombinatorialData, *, as_json: bool = False,
                  fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(fiber_order_limit)
-    data = _validated(doc)
+    data = validate(doc)
     report = classify(data, fiber_order_limit=fiber_order_limit)
     if as_json:
         return json.dumps(report_to_json_dict(report), indent=2) + "\n", EXIT_OK
     return render_report(data, report), EXIT_OK
 
 
-def cmd_fiber(doc: CoverDocument, *, table: bool = False,
+def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
               max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(max_order)
-    data = _validated(doc)
+    data = validate(doc)
     presentation = ramification_factorization(data)
     lines = []
     if presentation.etale_index > 1:
@@ -536,9 +499,9 @@ def cmd_fiber(doc: CoverDocument, *, table: bool = False,
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     _check_max_order(max_order)
-    data = _validated(doc)
+    data = validate(doc)
     ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
     basis = socle_basis(ring)
     lines = [f"socle dimension: {len(basis)}"]
@@ -548,12 +511,12 @@ def cmd_socle(doc: CoverDocument, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT)
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
+def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = 12,
                 max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
     _check_max_order(max_order)
-    data = _validated(doc)
+    data = validate(doc)
     presentation = ramification_factorization(data)
     numerator = hilbert_numerator(build_fiber_ring(presentation.restricted, order_limit=max_order))
     # Restriction rescales each generator g_i and its character residue a_i
@@ -573,8 +536,8 @@ def cmd_hilbert(doc: CoverDocument, *, max_degree: int = 12,
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_factor(doc: CoverDocument) -> tuple[str, int]:
-    data = _validated(doc)
+def cmd_factor(doc: CombinatorialData) -> tuple[str, int]:
+    data = validate(doc)
     presentation = ramification_factorization(data)
     lines = [
         f"image subgroup order: {presentation.image_order}",
@@ -594,9 +557,8 @@ def _lookup(path: str, report: dict):
 
 
 def cmd_example_run(name: str, params: dict) -> tuple[str, int]:
-    doc = examples_registry(name, params)
+    data = validate(examples_registry(name, params))
     expected = expected_report(name, params)
-    data = _validated(doc)
     report = report_to_json_dict(classify(data))
     lines = [f"example {name}:"]
     failures = 0
@@ -641,7 +603,7 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def _read_document(path: str) -> CoverDocument:
+def _read_document(path: str) -> CombinatorialData:
     if path == "-":
         return parse_input(sys.stdin.read())
     try:
@@ -743,7 +705,7 @@ def main(argv=None) -> int:
         # A bug, not bad input: name it and print the canonical document
         # that reproduces it.
         print(f"internal error: {exc}", file=sys.stderr)
-        print(json.dumps(CoverDocument.from_data(exc.data).to_json_dict()), file=sys.stderr)
+        print(json.dumps(exc.data.to_json_dict()), file=sys.stderr)
         return EXIT_INTERNAL
     sys.stdout.write(text)
     return code

@@ -78,6 +78,23 @@ class CombinatorialData:
     def __post_init__(self):
         object.__setattr__(self, "branch", tuple(self.branch))
 
+    @classmethod
+    def from_residues(cls, moduli, branch) -> "CombinatorialData":
+        """Unvalidated data from the moduli of G and a list of
+        (generator residues, character residue) pairs."""
+        group = AbelianGroup(moduli)
+        return cls(group, tuple(BranchDatum(group.element(g), a) for g, a in branch))
+
+    def to_json_dict(self) -> dict:
+        """The cover document of this data, as `abelcover` reads it."""
+        return {
+            "group": list(self.group.moduli),
+            "branch": [
+                {"generator": list(datum.generator.residues), "character": datum.char_residue}
+                for datum in self.branch
+            ],
+        }
+
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(datum.order for datum in self.branch)

@@ -10,7 +10,8 @@ character group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb, lcm
 from operator import add
 
@@ -38,7 +39,11 @@ class FiberRing:
     group: AbelianGroup
     orders: tuple[int, ...]
     alphas: tuple[tuple[int, ...], ...]
-    positions: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+
+    @cached_property
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Built on the first product; classify never multiplies."""
+        return {a: k for k, a in enumerate(self.alphas)}
 
     @property
     def dimension(self) -> int:
@@ -73,8 +78,9 @@ class FiberRing:
         return None if idx is None else self.character(idx)
 
     def product_table(self) -> list[list[int | None]]:
-        n = self.dimension
-        return [[self.product_index(i, j) for j in range(n)] for i in range(n)]
+        """product_index(i, j) at row i, column j, reading the map once."""
+        positions, alphas = self.positions, self.alphas
+        return [[positions.get(tuple(map(add, a, b))) for b in alphas] for a in alphas]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(a) for a in self.alphas)
@@ -111,12 +117,11 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 grown.append(a)
                 a = tuple((x + y) % d for x, y, d in zip(a, step, orders))
         alphas = grown
-    positions = {a: k for k, a in enumerate(alphas)}
-    if len(positions) != n:
+    if len(set(alphas)) != n:
         raise ValueError(
             "data is not totally ramified; classify factors covers first "
             "(ramification_factorization) and works on the restricted part")
-    return FiberRing(data.group, orders, tuple(alphas), positions)
+    return FiberRing(data.group, orders, tuple(alphas))
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:
@@ -166,10 +171,6 @@ class HilbertNumerator:
     @property
     def palindromic(self) -> bool:
         return self.coefficients == self.coefficients[::-1]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __str__(self) -> str:
         terms = []
@@ -226,7 +227,9 @@ def invariant_monomials_up_to_degree(
     s = data.size
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if comb(max_degree + s, s) > enumeration_limit:
+    # Callers tabulate the result in max_degree + 1 degrees, which
+    # C(D + s, s) bounds only when s >= 1.
+    if max(comb(max_degree + s, s), max_degree + 1) > enumeration_limit:
         raise LimitExceeded(
             f"enumerating exponents up to degree {max_degree} in {s} variables "
             f"exceeds the bound {enumeration_limit}"

@@ -113,7 +113,7 @@ class TestGorensteinLift:
             ("elementary", {"p": 5, "n": 4}, (1, 1, 1, 1)),
         ]
         for name, params, expected in cases:
-            cert = gorenstein_lift(examples_registry(name, params).to_data())
+            cert = gorenstein_lift(examples_registry(name, params))
             assert (None if cert is None else cert.residues) == expected, (name, params)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from abelcover.cli import (
     cmd_socle,
     cmd_validate,
     examples_registry,
+    expected_report,
     main,
     parse_input,
     print_document,
@@ -63,13 +65,13 @@ REPORT_KEYS = [
 class TestParseInput:
     def test_z2cubed(self):
         doc = parse_input(Z2CUBED_TEXT)
-        assert doc.group == (2, 2, 2)
+        assert doc.group.moduli == (2, 2, 2)
         assert len(doc.branch) == 4
-        assert doc.branch[3].generator == (1, 1, 1)
+        assert doc.branch[3].generator.residues == (1, 1, 1)
 
     def test_trivial_document(self):
         doc = parse_input('{"group": [], "branch": []}')
-        assert doc.group == () and doc.branch == ()
+        assert doc.group.moduli == () and doc.branch == ()
 
     def test_non_generating_character_passes_parse(self):
         doc = parse_input('{"group": [4], "branch": [{"generator": [1], "character": 2}]}')
@@ -185,12 +187,14 @@ class TestRegistry:
         assert set(REGISTRY) == {"z2cubed", "zpqr", "zpn-chain", "elementary"}
 
     def test_unknown_example(self):
-        with pytest.raises(RegistryError):
-            examples_registry("nonesuch")
+        for lookup in (examples_registry, expected_report):
+            with pytest.raises(RegistryError):
+                lookup("nonesuch")
 
     def test_unknown_parameter(self):
-        with pytest.raises(RegistryError):
-            examples_registry("zpqr", {"gamma": 1})
+        for lookup in (examples_registry, expected_report):
+            with pytest.raises(RegistryError):
+                lookup("zpqr", {"gamma": 1})
 
     def test_bad_parameters(self):
         with pytest.raises(RegistryError):
@@ -286,7 +290,7 @@ class TestMain:
         assert main(["example", "show", "zpqr", "--param", "alpha=2"]) == EXIT_OK
         out = capsys.readouterr().out
         doc = parse_input(out)
-        assert doc.branch[0].character == 2
+        assert doc.branch[0].char_residue == 2
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/no/such/file.json"]) == EXIT_INVALID
@@ -314,6 +318,17 @@ class TestMain:
         assert main(["hilbert", "--max-degree", "-1"]) == EXIT_INVALID
         assert self._single_error_line(capsys).startswith("error: --max-degree: ")
 
+    def test_max_degree_bounded_without_branch_lines(self, capsys, monkeypatch):
+        # With s = 0 the walk visits one empty exponent vector whatever the
+        # degree, so only the count of degree rows can bound the work.
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"group": [2], "branch": []}'))
+        start = perf_counter()
+        assert main(["hilbert", "--max-degree", "1000000000"]) == EXIT_LIMIT
+        assert perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "limit exceeded: enumerating exponents up to degree 1000000000 in 0 "
+            "variables exceeds the bound 1000000\n", "")
+
     @pytest.mark.parametrize("command", ["classify", "fiber", "socle", "hilbert"])
     def test_max_order_below_one(self, command, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
@@ -339,9 +354,9 @@ class TestMain:
         assert "Traceback" not in captured.err
         message, reproducer = captured.err.splitlines()
         assert message.startswith("internal error: Gorenstein deciders disagree")
-        data = validate(parse_input(text).to_data())
-        assert parse_input(reproducer).to_data() == data
-        assert data != parse_input(text).to_data()  # the input was not canonical
+        data = validate(parse_input(text))
+        assert parse_input(reproducer) == data
+        assert data != parse_input(text)  # the input was not canonical
 
     def test_import_loads_only_the_standard_library(self):
         src = str(Path(__file__).parents[1] / "src")
@@ -357,6 +372,21 @@ class TestMain:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
+
+    def test_traced_functions_exist(self, monkeypatch):
+        # The benchmark's tracer wraps these names from outside; a renamed
+        # or moved function would otherwise surface only in its own tests.
+        path = Path(__file__).parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(tracing)
+        assert tracing.TARGETS
+        for home, attr, _ in tracing.TARGETS:
+            module = importlib.import_module(home)
+            cls_name, _, name = attr.rpartition(".")
+            owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+            assert callable(owner.get(name)), f"{home}.{attr}"
 
 
 class TestGolden:
