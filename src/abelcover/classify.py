@@ -166,7 +166,9 @@ def classify(
     and asserts that all computed Gorenstein routes agree before reporting.
     The lift solves its own congruences on the ambient group, so it stays an
     independent check on the presentation; its certificate is a character
-    of the original ambient group.  Routes that would exceed
+    of the original ambient group.  The solver confirms a lift it finds but
+    not the absence of one: a missed lift shows up here, as a disagreement
+    with the other routes.  Routes that would exceed
     `fiber_order_limit` are recorded as skipped (None) rather than aborting
     the report; the lift and SL routes always run.
     """

@@ -604,12 +604,12 @@ def _parse_params(pairs) -> dict:
 
 
 def _read_document(path: str) -> CombinatorialData:
-    if path == "-":
-        return parse_input(sys.stdin.read())
     try:
+        if path == "-":
+            return parse_input(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return parse_input(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(path, str(exc)) from None
 
 

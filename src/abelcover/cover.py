@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
+from . import groups
 from .groups import (
     AbelianGroup,
-    DEFAULT_ENUMERATION_LIMIT,
     Element,
     Hom,
     _hermite,
@@ -262,14 +262,9 @@ class KernelDescription:
     min_support: int | None
 
 
-def kernel_K(
-    data: CombinatorialData,
-    presentation: SumMapPresentation,
-    *,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> KernelDescription:
+def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> KernelDescription:
     """K as presented, with its exact minimal support when the search for it
-    fits in `enumeration_limit` units of work.
+    fits in DEFAULT_ENUMERATION_LIMIT units of work.
 
     The kernel elements supported in a coordinate set T form the kernel of
     the sum map of the lines in T, of order prod_{i in T} d_i / |sum H_i|.
@@ -283,11 +278,12 @@ def kernel_K(
     bound."""
     gens, order = presentation.kernel_gens, presentation.kernel_order
     s, orders = data.size, data.orders
+    limit = groups.DEFAULT_ENUMERATION_LIMIT
     if order == 1:
         return KernelDescription(gens, order, None)
     probes = 2**s - 2 - s  # subsets T with 2 <= |T| < s
-    if order <= min(probes, enumeration_limit):
-        elements = closure(orders, (g.residues for g in gens), enumeration_limit)
+    if order <= min(probes, limit):
+        elements = closure(orders, (g.residues for g in gens))
         support = min(sum(1 for x in t if x) for t in elements if any(t))
         return KernelDescription(gens, order, support)
     moduli, group_order = data.group.moduli, data.group.order
@@ -295,7 +291,7 @@ def kernel_K(
     spent = 0
     for size in range(2, s):
         for subset in combinations(range(s), size):
-            if spent == enumeration_limit:
+            if spent == limit:
                 return KernelDescription(gens, order, None)
             spent += 1
             basis = _hermite(moduli, [lines[i] for i in subset])

@@ -15,7 +15,8 @@ from functools import cached_property
 from math import comb, lcm
 from operator import add
 
-from .groups import AbelianGroup, Character, DEFAULT_ENUMERATION_LIMIT, LimitExceeded
+from . import groups
+from .groups import AbelianGroup, Character, LimitExceeded
 from .cover import CombinatorialData, SumMapPresentation
 
 #: Largest group order for which the fiber ring is materialized.  The ring
@@ -217,7 +218,6 @@ def invariant_monomials_up_to_degree(
     max_degree: int = 12,
     *,
     presentation: SumMapPresentation,
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[tuple[int, ...]]:
     """All exponent vectors of K-invariant monomials of total degree up to
     `max_degree`, by direct evaluation against the kernel generators of the
@@ -229,10 +229,11 @@ def invariant_monomials_up_to_degree(
         raise ValueError("max_degree must be >= 0")
     # Callers tabulate the result in max_degree + 1 degrees, which
     # C(D + s, s) bounds only when s >= 1.
-    if max(comb(max_degree + s, s), max_degree + 1) > enumeration_limit:
+    limit = groups.DEFAULT_ENUMERATION_LIMIT
+    if max(comb(max_degree + s, s), max_degree + 1) > limit:
         raise LimitExceeded(
             f"enumerating exponents up to degree {max_degree} in {s} variables "
-            f"exceeds the bound {enumeration_limit}"
+            f"exceeds the bound {limit}"
         )
     orders = data.orders
     L = lcm(*orders) if orders else 1

@@ -19,9 +19,6 @@ from math import gcd, lcm, prod
 #: the invariant-monomial listing walks.
 DEFAULT_ENUMERATION_LIMIT = 10**6
 
-#: Group orders up to which a failed congruence solve is re-verified by brute force.
-DEFAULT_CROSS_CHECK_LIMIT = 512
-
 
 class LimitExceeded(Exception):
     """An operation would enumerate more elements than its configured bound."""
@@ -313,9 +310,10 @@ class Hom:
         return out
 
 
-def closure(moduli: tuple[int, ...], generators, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[tuple[int, ...]]:
+def closure(moduli: tuple[int, ...], generators) -> list[tuple[int, ...]]:
     """All residue tuples in the subgroup generated by the given tuples,
-    sorted lexicographically.  Raises LimitExceeded past `limit` elements."""
+    sorted lexicographically.  Raises LimitExceeded past
+    DEFAULT_ENUMERATION_LIMIT elements."""
     zero = (0,) * len(moduli)
     elems = {zero}
     frontier = [zero]
@@ -326,9 +324,9 @@ def closure(moduli: tuple[int, ...], generators, limit: int = DEFAULT_ENUMERATIO
             for g in gens:
                 y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
                 if y not in elems:
-                    if len(elems) >= limit:
+                    if len(elems) >= DEFAULT_ENUMERATION_LIMIT:
                         raise LimitExceeded(
-                            f"subgroup enumeration exceeded {limit} elements"
+                            f"subgroup enumeration exceeded {DEFAULT_ENUMERATION_LIMIT} elements"
                         )
                     elems.add(y)
                     nxt.append(y)
@@ -400,8 +398,9 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     {(0, c) : M c = 0 (mod L)}, the homogeneous solutions.  Reducing c
     against them one coordinate at a time (x_j mod pivot_j) gives the
     lexicographically smallest solution, so the output is deterministic.
-    A None answer is re-checked against every residue tuple while |G| stays
-    within DEFAULT_CROSS_CHECK_LIMIT.
+    A solution is checked against every constraint before it is returned.
+    A None is not re-checked by enumerating G: classify compares it with
+    three independent Gorenstein routes, which catch a missed solution.
     """
     constraints = list(constraints)
     r = group.rank
@@ -422,15 +421,6 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     x = b + [0] * r
     for t in range(k):
         if x[t] % rows[t][t]:
-            if group.order <= DEFAULT_CROSS_CHECK_LIMIT:
-                # Each constraint evaluated afresh by the formula of
-                # Character.__call__, independent of the graph vectors.
-                steps = [L // m for m in group.moduli]
-                checks = [(g.residues, a * (L // g.order()) % L) for g, a in constraints]
-                for chi in itertools.product(*(range(m) for m in group.moduli)):
-                    if all(sum(c * y * s for c, y, s in zip(chi, e, steps)) % L == n
-                           for e, n in checks):
-                        raise ArithmeticError("congruence solver missed a solution")
             return None
         q = x[t] // rows[t][t]
         x = [(a - q * h) % m for a, h, m in zip(x, rows[t], moduli)]

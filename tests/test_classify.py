@@ -51,8 +51,8 @@ def empty_data(moduli=(2, 2)):
     return CombinatorialData(AbelianGroup(moduli), ())
 
 
-def kernel_of(data, **limits):
-    return kernel_K(data, ramification_factorization(data), **limits)
+def kernel_of(data):
+    return kernel_K(data, ramification_factorization(data))
 
 
 def socle_is_simple(data):
@@ -147,8 +147,8 @@ class TestGorensteinSocle:
         assert socle_is_simple(single_datum_z105())
 
 
-def lci_of(data, **limits):
-    return lci_classify(data, kernel_of(data, **limits))
+def lci_of(data):
+    return lci_classify(data, kernel_of(data))
 
 
 class TestLciClassify:
@@ -168,12 +168,14 @@ class TestLciClassify:
     def test_open_case(self):
         assert lci_of(z6_unknown_case()) == (UNKNOWN, REASON_OPEN_CASE)
 
-    def test_limit_reason(self):
-        verdict, reason = lci_of(z6_unknown_case(), enumeration_limit=1)
+    def test_limit_reason(self, monkeypatch):
+        monkeypatch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 1)
+        verdict, reason = lci_of(z6_unknown_case())
         assert (verdict, reason) == (UNKNOWN, REASON_LIMIT)
 
-    def test_limit_does_not_matter_for_surfaces(self):
-        assert lci_of(zpqr_data(), enumeration_limit=1) == (LCI, REASON_A_TYPE_SURFACE)
+    def test_limit_does_not_matter_for_surfaces(self, monkeypatch):
+        monkeypatch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 1)
+        assert lci_of(zpqr_data()) == (LCI, REASON_A_TYPE_SURFACE)
 
 
 class TestSmoothness:

@@ -302,6 +302,12 @@ class TestMain:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         return captured.err
 
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"group": [2], "branch": []}\xff')
+        assert main(["classify", str(path)]) == EXIT_INVALID
+        assert self._single_error_line(capsys).startswith(f"error: {path}: ")
+
     def test_integer_past_digit_limit(self, capsys, monkeypatch):
         text = '{"group": [' + "7" * 5000 + '], "branch": []}'
         monkeypatch.setattr("sys.stdin", io.StringIO(text))

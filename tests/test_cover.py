@@ -16,6 +16,7 @@ from abelcover import (
     sum_map,
     validate,
 )
+import abelcover.groups
 from abelcover.classify import gorenstein_lift
 from abelcover.groups import closure
 from helpers import (
@@ -33,8 +34,8 @@ from helpers import (
 )
 
 
-def kernel_of(data, **limits):
-    return kernel_K(data, ramification_factorization(data), **limits)
+def kernel_of(data):
+    return kernel_K(data, ramification_factorization(data))
 
 
 def kernel_elements(data, kd):
@@ -223,7 +224,9 @@ class TestKernelK:
             limits |= {centre - 1, centre, centre + 1}
         decided = False
         for limit in sorted(x for x in limits if x >= 0):
-            got = kernel_K(data, pres, enumeration_limit=limit).min_support
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", limit)
+                got = kernel_K(data, pres).min_support
             if exact is None:
                 assert got is None
                 continue
@@ -259,8 +262,9 @@ class TestKernelK:
         assert kd.min_support == 3
         assert elapsed < 0.5, f"kernel_K took {elapsed:.3f} s"
 
-    def test_enumeration_respects_limit(self):
-        kd = kernel_of(z2cubed_data(), enumeration_limit=1)
+    def test_enumeration_respects_limit(self, monkeypatch):
+        monkeypatch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 1)
+        kd = kernel_of(z2cubed_data())
         assert kd.order == 2
         assert kd.generators  # still reported
         assert kd.min_support is None

@@ -17,6 +17,7 @@ from abelcover import (
     socle_basis,
     validate,
 )
+import abelcover.groups
 from abelcover.classify import gorenstein_lift
 from helpers import (
     brute_discrete_log,
@@ -30,9 +31,9 @@ from helpers import (
 )
 
 
-def monomials(data, max_degree, **limits):
+def monomials(data, max_degree):
     return invariant_monomials_up_to_degree(
-        data, max_degree, presentation=ramification_factorization(data), **limits)
+        data, max_degree, presentation=ramification_factorization(data))
 
 
 def elementary_lines(rng, r, extra):
@@ -342,9 +343,10 @@ class TestInvariantMonomials:
         got = monomials(data, 2)
         assert got == [(0,), (1,), (2,)]
 
-    def test_limit(self):
+    def test_limit(self, monkeypatch):
+        monkeypatch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 10)
         with pytest.raises(LimitExceeded):
-            monomials(z2cubed_data(), 12, enumeration_limit=10)
+            monomials(z2cubed_data(), 12)
 
     def test_membership_matches_character_description(self):
         rng = random.Random(47)

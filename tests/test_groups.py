@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -15,8 +17,10 @@ from abelcover import (
     smith_normal_form,
     solve_character_congruences,
     sum_map,
+    validate,
 )
 import abelcover.groups
+from abelcover.cli import EXIT_INTERNAL, main, parse_input
 from abelcover.groups import _hermite, closure
 from helpers import (
     assert_snf_contract,
@@ -294,11 +298,10 @@ class TestSolveCharacterCongruences:
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_agrees_with_enumeration(self, seed):
+        # Every group the solver once re-checked by brute force (|G| <= 512).
         rng = random.Random(seed)
-        moduli = tuple(rng.choice((2, 3, 4, 5, 8)) for _ in range(rng.randint(1, 3)))
-        G = AbelianGroup(moduli)
-        if G.order > 512:
-            return
+        G = random_group(rng, max_order=512, max_rank=4)
+        moduli = G.moduli
         k = rng.randint(1, 3)
         constraints = []
         if rng.random() < 0.5:
@@ -376,10 +379,11 @@ class TestSolveCharacterCongruences:
         assert chi is None
         assert elapsed < 0.05, f"unsolvable solve took {elapsed:.3f} s"
 
-    def test_missed_solution_is_caught(self, monkeypatch):
+    def test_missed_solution_is_caught(self, capsys, monkeypatch):
         # A first Hermite pivot of L = 4 makes the solvable chi((1, 1)) = 1/4
-        # on Z/4 + Z/2 look unsolvable; the re-check over all of G finds a
-        # solution and refuses the None.
+        # on Z/4 + Z/2 look unsolvable.  The other Gorenstein routes of
+        # classify find the point Gorenstein, so the CLI names the
+        # disagreement and prints a reproducer instead of a traceback.
         real = abelcover.groups._hermite
 
         def widened_pivot(moduli, vectors):
@@ -388,9 +392,28 @@ class TestSolveCharacterCongruences:
             return rows
 
         monkeypatch.setattr(abelcover.groups, "_hermite", widened_pivot)
-        G = AbelianGroup((4, 2))
-        with pytest.raises(ArithmeticError, match="congruence solver missed a solution"):
-            solve_character_congruences(G, [(G.element((1, 1)), 1)])
+        text = json.dumps({"group": [4, 2], "branch": [{"generator": [1, 1], "character": 1}]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify", "--json"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        message, reproducer = captured.err.splitlines()
+        assert message.startswith("internal error: Gorenstein deciders disagree")
+        assert parse_input(reproducer) == validate(parse_input(text))
+
+    def test_unsolvable_needs_no_enumeration(self, monkeypatch):
+        # A None is the answer of the Hermite basis alone: nothing walks G
+        # to confirm it, even for a group small enough to walk.
+        class NoEnumeration:
+            def __getattr__(self, name):
+                raise AssertionError(f"itertools.{name} used")
+
+        monkeypatch.setattr(abelcover.groups, "itertools", NoEnumeration())
+        for moduli in ((3,), (4, 2), (8, 8, 8)):
+            G = AbelianGroup(moduli)
+            g = G.element((1,) * len(moduli))
+            assert solve_character_congruences(G, [(g, 1), (g, 2)]) is None
 
     def test_bad_solution_is_caught(self, monkeypatch):
         # A Hermite basis with unit pivots reduces every particular solution
