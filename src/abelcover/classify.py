@@ -8,10 +8,9 @@ subgroup extend to the whole group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
-from .groups import Character, solve_character_congruences
+from .groups import Character, _Frozen, solve_character_congruences
 from .cover import (
     CombinatorialData,
     KernelDescription,
@@ -75,15 +74,18 @@ class CrossCheckError(RuntimeError):
         self.data = data
 
 
-@dataclass(frozen=True)
-class GorensteinChecks:
+class GorensteinChecks(_Frozen):
     """Outcome of each Gorenstein route.  `socle` and `hilbert_palindromic`
     are None when the fiber ring was not built (group order over the bound)."""
 
-    lift: bool
-    watanabe: bool
-    socle: bool | None
-    hilbert_palindromic: bool | None
+    __slots__ = _fields = ("lift", "watanabe", "socle", "hilbert_palindromic")
+
+    def __init__(self, lift: bool, watanabe: bool, socle: bool | None,
+                 hilbert_palindromic: bool | None):
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "watanabe", watanabe)
+        object.__setattr__(self, "socle", socle)
+        object.__setattr__(self, "hilbert_palindromic", hilbert_palindromic)
 
     def agree(self) -> bool:
         votes = {v for v in (self.lift, self.watanabe, self.socle, self.hilbert_palindromic)
@@ -91,19 +93,26 @@ class GorensteinChecks:
         return len(votes) == 1
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    locally_simple: bool
-    totally_ramified: bool
-    etale_index: int
-    kernel: KernelDescription
-    gorenstein: bool
-    certificate: Character | None
-    cross_checks: GorensteinChecks
-    lci: str
-    lci_reason: str
-    smooth: str
-    assumptions: tuple[str, ...]
+class ClassificationReport(_Frozen):
+    __slots__ = _fields = (
+        "locally_simple", "totally_ramified", "etale_index", "kernel", "gorenstein",
+        "certificate", "cross_checks", "lci", "lci_reason", "smooth", "assumptions")
+
+    def __init__(self, locally_simple: bool, totally_ramified: bool, etale_index: int,
+                 kernel: KernelDescription, gorenstein: bool, certificate: Character | None,
+                 cross_checks: GorensteinChecks, lci: str, lci_reason: str, smooth: str,
+                 assumptions: tuple[str, ...]):
+        object.__setattr__(self, "locally_simple", locally_simple)
+        object.__setattr__(self, "totally_ramified", totally_ramified)
+        object.__setattr__(self, "etale_index", etale_index)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "gorenstein", gorenstein)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "cross_checks", cross_checks)
+        object.__setattr__(self, "lci", lci)
+        object.__setattr__(self, "lci_reason", lci_reason)
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "assumptions", assumptions)
 
 
 def gorenstein_lift(data: CombinatorialData) -> Character | None:

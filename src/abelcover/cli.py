@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
-from .groups import LimitExceeded
+from .groups import LimitExceeded, _Frozen
 from .cover import (
     BranchDatum,
     CombinatorialData,
@@ -370,13 +368,18 @@ def _expected_elementary(p: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ExampleEntry:
-    name: str
-    summary: str
-    defaults: dict
-    build: Callable[[dict], CombinatorialData]
-    expected: Callable[[dict], dict]
+class ExampleEntry(_Frozen):
+    """A named example: its parameter defaults, the document builder and
+    the verdicts it must reach, both called with the merged parameters."""
+
+    __slots__ = _fields = ("name", "summary", "defaults", "build", "expected")
+
+    def __init__(self, name: str, summary: str, defaults: dict, build, expected):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "defaults", defaults)
+        object.__setattr__(self, "build", build)
+        object.__setattr__(self, "expected", expected)
 
 
 REGISTRY = {
@@ -490,12 +493,12 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
         lines.append(f"  w{chi} : {list(alpha)} : {sum(alpha)}")
     if table:
         lines.append("products (row * column, . = zero):")
-        idx = ring.product_table()
-        header = "      " + " ".join(f"{j:>4}" for j in range(ring.dimension))
-        lines.append(header)
-        for i, row in enumerate(idx):
-            cells = " ".join(f"{'.' if v is None else v:>4}" for v in row)
-            lines.append(f"  {i:>3} {cells}")
+        labels = [f"{k:>4}" for k in range(ring.dimension)]
+        lines.append("      " + " ".join(labels))
+        label = dict(enumerate(labels))
+        label[None] = f"{'.':>4}"
+        for i, row in enumerate(ring.product_table()):
+            lines.append(f"  {i:>3} " + " ".join(map(label.__getitem__, row)))
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -4,7 +4,6 @@ presentation of the sum map that carries its kernel and the totally-ramified
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, prod
 
@@ -13,23 +12,31 @@ from .groups import (
     AbelianGroup,
     Element,
     Hom,
+    _Frozen,
     _hermite,
     closure,
     smith_normal_form,
 )
 
 
-@dataclass(frozen=True)
-class BranchDatum:
+class BranchDatum(_Frozen):
     """One branch component through the point: a cyclic subgroup H = <generator>
     of the ambient group together with the character psi of H generating its
     dual, encoded by psi(generator) = char_residue / ord(generator)."""
 
-    generator: Element
-    char_residue: int
+    __slots__ = _fields = ("generator", "char_residue")
 
-    def __post_init__(self):
-        object.__setattr__(self, "char_residue", int(self.char_residue) % self.order)
+    def __init__(self, generator: Element, char_residue: int):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "char_residue", int(char_residue) % generator.order())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.char_residue, self.generator) == (other.char_residue, other.generator)
+
+    def __hash__(self) -> int:
+        return hash((self.generator, self.char_residue))
 
     @property
     def order(self) -> int:
@@ -68,15 +75,14 @@ class BranchDatum:
         return (c.generator.residues, c.char_residue)
 
 
-@dataclass(frozen=True)
-class CombinatorialData:
+class CombinatorialData(_Frozen):
     """The ambient group G and the ordered branch data {(H_i, psi_i)} at the point."""
 
-    group: AbelianGroup
-    branch: tuple[BranchDatum, ...]
+    __slots__ = _fields = ("group", "branch")
 
-    def __post_init__(self):
-        object.__setattr__(self, "branch", tuple(self.branch))
+    def __init__(self, group: AbelianGroup, branch: tuple[BranchDatum, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "branch", tuple(branch))
 
     @classmethod
     def from_residues(cls, moduli, branch) -> "CombinatorialData":
@@ -104,11 +110,14 @@ class CombinatorialData:
         return len(self.branch)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str  # NonGeneratingCharacter | TrivialInertia | DuplicatePair | MalformedElement
-    index: int
-    message: str
+class ValidationIssue(_Frozen):
+    __slots__ = _fields = ("code", "index", "message")
+
+    def __init__(self, code: str, index: int, message: str):
+        # code: NonGeneratingCharacter | TrivialInertia | DuplicatePair | MalformedElement
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "message", message)
 
     def __str__(self) -> str:
         return f"branch[{self.index}]: {self.code}: {self.message}"
@@ -174,8 +183,7 @@ def sum_map(data: CombinatorialData) -> Hom:
     return Hom(source, data.group, tuple(d.generator for d in data.branch))
 
 
-@dataclass(frozen=True)
-class SumMapPresentation:
+class SumMapPresentation(_Frozen):
     """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, presented once per input.
 
     Every field comes from one Smith normal form of the relation matrix
@@ -188,11 +196,16 @@ class SumMapPresentation:
       cover, which is the input itself when nu is surjective.
     """
 
-    kernel_gens: tuple[Element, ...]
-    kernel_order: int
-    image_order: int
-    etale_index: int
-    restricted: CombinatorialData
+    __slots__ = _fields = (
+        "kernel_gens", "kernel_order", "image_order", "etale_index", "restricted")
+
+    def __init__(self, kernel_gens: tuple[Element, ...], kernel_order: int,
+                 image_order: int, etale_index: int, restricted: CombinatorialData):
+        object.__setattr__(self, "kernel_gens", kernel_gens)
+        object.__setattr__(self, "kernel_order", kernel_order)
+        object.__setattr__(self, "image_order", image_order)
+        object.__setattr__(self, "etale_index", etale_index)
+        object.__setattr__(self, "restricted", restricted)
 
     @property
     def totally_ramified(self) -> bool:
@@ -247,8 +260,7 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
         tuple(gens), nu.source.order // image_order, image_order, etale_index, restricted)
 
 
-@dataclass(frozen=True)
-class KernelDescription:
+class KernelDescription(_Frozen):
     """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s.
 
     min_support is the least number of nonzero coordinates over the nonzero
@@ -257,9 +269,12 @@ class KernelDescription:
     pass the work bound.
     """
 
-    generators: tuple[Element, ...]
-    order: int
-    min_support: int | None
+    __slots__ = _fields = ("generators", "order", "min_support")
+
+    def __init__(self, generators: tuple[Element, ...], order: int, min_support: int | None):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "min_support", min_support)
 
 
 def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> KernelDescription:

@@ -10,13 +10,12 @@ character group."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb, lcm
-from operator import add
+from operator import mul
 
 from . import groups
-from .groups import AbelianGroup, Character, LimitExceeded
+from .groups import AbelianGroup, Character, LimitExceeded, _Frozen
 from .cover import CombinatorialData, SumMapPresentation
 
 #: Largest group order for which the fiber ring is materialized.  The ring
@@ -27,24 +26,43 @@ from .cover import CombinatorialData, SumMapPresentation
 DEFAULT_FIBER_ORDER_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class FiberRing:
+class FiberRing(_Frozen):
     """dim = |G| algebra with basis {w_chi} and the overflow product rule.
 
     Basis index k is the character whose residues are the mixed-radix
     digits of k against the group's moduli (lexicographic residue order);
-    `alphas[k]` is its exponent vector and `positions` maps it back to k.
-    The trivial character (index 0) is the identity; all nonzero structure
-    constants are 1."""
+    `alphas[k]` is its exponent vector, `codes[k]` packs that vector into
+    one integer and `positions` maps the code back to k.  The trivial
+    character (index 0) is the identity; all nonzero structure constants
+    are 1.
 
-    group: AbelianGroup
-    orders: tuple[int, ...]
-    alphas: tuple[tuple[int, ...], ...]
+    No __slots__: the lazy `codes` and `positions` live in the instance
+    __dict__."""
+
+    _fields = ("group", "orders", "alphas")
+
+    def __init__(self, group: AbelianGroup, orders: tuple[int, ...],
+                 alphas: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "alphas", alphas)
 
     @cached_property
-    def positions(self) -> dict[tuple[int, ...], int]:
-        """Built on the first product; classify never multiplies."""
-        return {a: k for k, a in enumerate(self.alphas)}
+    def codes(self) -> list[int]:
+        """alphas[k] as one integer in mixed radix 2*d_i - 1.  A coordinate
+        sum of two exponent vectors is at most 2*d_i - 2, so codes add
+        without carry, code(a) + code(b) = code(a + b), and a sum with an
+        overflowing coordinate is the code of no exponent vector of the
+        ring.  Built on the first product; classify never multiplies."""
+        weights, w = [], 1
+        for d in self.orders:
+            weights.append(w)
+            w *= 2 * d - 1
+        return [sum(map(mul, a, weights)) for a in self.alphas]
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        return {c: k for k, c in enumerate(self.codes)}
 
     @property
     def dimension(self) -> int:
@@ -72,16 +90,17 @@ class FiberRing:
         Without overflow the sum of the exponent vectors is the exponent
         vector of the product; with overflow it leaves the box, where no
         exponent vector of the ring lies."""
-        return self.positions.get(tuple(map(add, self.alphas[i], self.alphas[j])))
+        return self.positions.get(self.codes[i] + self.codes[j])
 
     def product(self, chi: Character, chi2: Character) -> Character | None:
         idx = self.product_index(self.index(chi), self.index(chi2))
         return None if idx is None else self.character(idx)
 
     def product_table(self) -> list[list[int | None]]:
-        """product_index(i, j) at row i, column j, reading the map once."""
-        positions, alphas = self.positions, self.alphas
-        return [[positions.get(tuple(map(add, a, b))) for b in alphas] for a in alphas]
+        """product_index(i, j) at row i, column j: one add and one lookup
+        per cell."""
+        codes, get = self.codes, self.positions.get
+        return [[get(a + b) for b in codes] for a in codes]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(a) for a in self.alphas)
@@ -159,15 +178,17 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     return out
 
 
-@dataclass(frozen=True)
-class HilbertNumerator:
+class HilbertNumerator(_Frozen):
     """q_d = number of basis monomials w_chi of total degree d.
 
     The generating polynomial of the invariant ring over its polynomial
     subring; palindromic coefficients are the graded signature of the
     Gorenstein property (Stanley's symmetry criterion)."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def palindromic(self) -> bool:

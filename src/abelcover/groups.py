@@ -11,7 +11,6 @@ over arbitrary-precision ints.  No floating point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 
 #: Cap on the work of the exact minimal-support search of a kernel (subset
@@ -125,8 +124,43 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 # Groups, elements, characters, homomorphisms
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _Frozen:
+    """Base of the package's value classes.  A subclass lists its fields in
+    `_fields`, keeps them in `__slots__` and sets them once in `__init__`
+    through object.__setattr__; afterwards assignment raises AttributeError.
+    Instances compare and hash by their field values, only against the same
+    class, and print as Name(field=value, ...).  Copies and pickles are
+    rebuilt through __init__, which takes the fields in `_fields` order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class AbelianGroup(_Frozen):
     """A finite abelian group given as Z/m_1 + ... + Z/m_r, every m_j >= 2.
 
     The empty tuple is the trivial group.  The decomposition is kept exactly
@@ -134,13 +168,21 @@ class AbelianGroup:
     caller's back.
     """
 
-    moduli: tuple[int, ...] = ()
+    __slots__ = _fields = ("moduli",)
 
-    def __post_init__(self):
-        moduli = tuple(int(m) for m in self.moduli)
+    def __init__(self, moduli: tuple[int, ...] = ()):
+        moduli = tuple(int(m) for m in moduli)
         if any(m < 2 for m in moduli):
             raise ValueError(f"moduli must all be >= 2, got {moduli}")
         object.__setattr__(self, "moduli", moduli)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.moduli == other.moduli
+
+    def __hash__(self) -> int:
+        return hash((self.moduli,))
 
     @property
     def order(self) -> int:
@@ -190,18 +232,23 @@ class AbelianGroup:
         return " x ".join(f"Z/{m}" for m in self.moduli)
 
 
-@dataclass(frozen=True)
-class Element:
-    group: AbelianGroup
-    residues: tuple[int, ...]
+class Element(_Frozen):
+    __slots__ = _fields = ("group", "residues")
 
-    def __post_init__(self):
-        if len(self.residues) != self.group.rank:
-            raise ValueError(
-                f"expected {self.group.rank} residues, got {len(self.residues)}"
-            )
-        reduced = tuple(int(r) % m for r, m in zip(self.residues, self.group.moduli))
-        object.__setattr__(self, "residues", reduced)
+    def __init__(self, group: AbelianGroup, residues: tuple[int, ...]):
+        if len(residues) != group.rank:
+            raise ValueError(f"expected {group.rank} residues, got {len(residues)}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(
+            self, "residues", tuple(int(r) % m for r, m in zip(residues, group.moduli)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.residues) == (other.group, other.residues)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.residues))
 
     def __add__(self, other: "Element") -> "Element":
         if other.group != self.group:
@@ -231,21 +278,14 @@ class Element:
         return "(" + ", ".join(map(str, self.residues)) + ")"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Frozen):
     """A character of a finite abelian group, as residues c_j against each
     cyclic factor: the value at e is sum_j c_j * e_j / m_j in Q/Z."""
 
-    group: AbelianGroup
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.residues) != self.group.rank:
-            raise ValueError(
-                f"expected {self.group.rank} residues, got {len(self.residues)}"
-            )
-        reduced = tuple(int(r) % m for r, m in zip(self.residues, self.group.moduli))
-        object.__setattr__(self, "residues", reduced)
+    __slots__ = _fields = ("group", "residues")
+    __init__ = Element.__init__
+    __eq__ = Element.__eq__
+    __hash__ = Element.__hash__
 
     def __call__(self, e: Element) -> int:
         """The value at e as the numerator n in [0, L) of n/L, where
@@ -276,29 +316,26 @@ class Character:
         return "(" + ", ".join(map(str, self.residues)) + ")"
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(_Frozen):
     """Homomorphism between finite abelian groups as a generator-image table.
 
     Well-definedness (m_j * images[j] = 0 in the target) is checked at
     construction.
     """
 
-    source: AbelianGroup
-    target: AbelianGroup
-    images: tuple[Element, ...]
+    __slots__ = _fields = ("source", "target", "images")
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        if len(images) != self.source.rank:
+    def __init__(self, source: AbelianGroup, target: AbelianGroup, images: tuple[Element, ...]):
+        images = tuple(images)
+        if len(images) != source.rank:
             raise ValueError("one image per source generator required")
         for j, img in enumerate(images):
-            if img.group != self.target:
+            if img.group != target:
                 raise ValueError(f"image {j} lies in a different group")
-            if not (self.source.moduli[j] * img).is_identity:
-                raise ValueError(
-                    f"not a homomorphism: {self.source.moduli[j]} * {img} != 0"
-                )
+            if not (source.moduli[j] * img).is_identity:
+                raise ValueError(f"not a homomorphism: {source.moduli[j]} * {img} != 0")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
 
     def __call__(self, e: Element) -> Element:

@@ -359,7 +359,9 @@ class TestMain:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         message, reproducer = captured.err.splitlines()
-        assert message.startswith("internal error: Gorenstein deciders disagree")
+        assert message == (
+            "internal error: Gorenstein deciders disagree: GorensteinChecks(lift=True, "
+            "watanabe=False, socle=True, hilbert_palindromic=True)")
         data = validate(parse_input(text))
         assert parse_input(reproducer) == data
         assert data != parse_input(text)  # the input was not canonical
@@ -376,6 +378,21 @@ class TestMain:
             "print(sorted(tops - set(sys.stdlib_module_names) - {'abelcover'}))\n"
         )
         result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
+
+    def test_import_path_has_no_code_generation(self):
+        # Start-up cost: none of these modules does the package's arithmetic,
+        # and together they cost a CLI call more than the package itself.
+        src = str(Path(__file__).parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "import abelcover.cli\n"
+            "heavy = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing')\n"
+            "print(sorted(name for name in heavy if name in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-S", "-c", probe],
+                                env=dict(os.environ, PYTHONPATH=src),
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
 

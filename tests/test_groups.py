@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -12,7 +14,13 @@ from abelcover import (
     AbelianGroup,
     BranchDatum,
     CombinatorialData,
+    GorensteinChecks,
     Hom,
+    ValidationIssue,
+    build_fiber_ring,
+    classify,
+    hilbert_numerator,
+    kernel_K,
     ramification_factorization,
     smith_normal_form,
     solve_character_congruences,
@@ -20,7 +28,7 @@ from abelcover import (
     validate,
 )
 import abelcover.groups
-from abelcover.cli import EXIT_INTERNAL, main, parse_input
+from abelcover.cli import EXIT_INTERNAL, ExampleEntry, main, parse_input
 from abelcover.groups import _hermite, closure
 from helpers import (
     assert_snf_contract,
@@ -423,3 +431,75 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((4, 2))
         with pytest.raises(ArithmeticError, match="congruence solver produced a bad solution"):
             solve_character_congruences(G, [(G.element((1, 1)), 1)])
+
+
+def _zpqr(v: int) -> CombinatorialData:
+    """The zpqr point on Z/(3*5*r) with r = 7, 11, ..."""
+    r = 7 + 4 * v
+    return validate(CombinatorialData.from_residues((15 * r,), [((5,), 1), ((r,), 1)]))
+
+
+#: Per value class: a builder called with a variant number, and a field to
+#: assign.  Two calls with one variant build equal values from fresh
+#: objects; variants 0 and 1 build different values.
+VALUE_CLASSES = {
+    "AbelianGroup": (lambda v: AbelianGroup((2, 4 + 2 * v)), "moduli"),
+    "Element": (lambda v: AbelianGroup((2, 4)).element((1, v)), "residues"),
+    "Character": (lambda v: AbelianGroup((2, 4)).character((1, v)), "residues"),
+    "Hom": (lambda v: Hom(AbelianGroup((2,)), AbelianGroup((4,)),
+                          (AbelianGroup((4,)).element((2 * v,)),)), "images"),
+    "BranchDatum": (lambda v: BranchDatum(AbelianGroup((5,)).element((1,)), 1 + v),
+                    "char_residue"),
+    "CombinatorialData": (_zpqr, "branch"),
+    "ValidationIssue": (lambda v: ValidationIssue("TrivialInertia", v, "identity"), "index"),
+    "SumMapPresentation": (lambda v: ramification_factorization(_zpqr(v)), "etale_index"),
+    "KernelDescription": (
+        lambda v: kernel_K(_zpqr(v), ramification_factorization(_zpqr(v))), "order"),
+    "FiberRing": (lambda v: build_fiber_ring(_zpqr(v)), "alphas"),
+    "HilbertNumerator": (
+        lambda v: hilbert_numerator(build_fiber_ring(_zpqr(v))), "coefficients"),
+    "GorensteinChecks": (lambda v: GorensteinChecks(True, True, None, v == 0), "lift"),
+    "ClassificationReport": (lambda v: classify(_zpqr(v)), "gorenstein"),
+    "ExampleEntry": (lambda v: ExampleEntry("name", "summary", {"p": v}, abs, str), "defaults"),
+}
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+    def test_value_semantics(self, name):
+        make, field = VALUE_CLASSES[name]
+        a, b, other = make(0), make(0), make(1)
+        assert type(a).__name__ == name
+        assert a == b and not a != b and a is not b
+        assert a != other and not a == other
+        assert a != object()
+        if name == "ExampleEntry":  # hashes its dict field, which refuses
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+        assert a == b
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+        assert repr(a) == repr(b)
+        assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a)
+
+    def test_elements_are_not_characters(self):
+        G = AbelianGroup((2, 4))
+        assert G.element((1, 3)) != G.character((1, 3))
+        assert G.character((1, 3)) != G.element((1, 3))
+
+    def test_gorenstein_checks_repr(self):
+        # The repr is part of the exit-3 stderr line of the CLI.
+        assert repr(GorensteinChecks(True, False, None, True)) == (
+            "GorensteinChecks(lift=True, watanabe=False, socle=None, hilbert_palindromic=True)")
+
+    def test_normalisation(self):
+        G = AbelianGroup([4, 6])
+        assert G.moduli == (4, 6)
+        assert G.element([5, -1]).residues == (1, 5)
+        assert BranchDatum(G.element((1, 0)), 7).char_residue == 3
+        assert CombinatorialData(G, [BranchDatum(G.element((1, 0)), 1)]).branch == (
+            BranchDatum(G.element((1, 0)), 1),)
+        assert AbelianGroup() == AbelianGroup(())
