@@ -10,7 +10,9 @@ character group."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import groupby
 from math import comb, lcm
 from operator import mul
 
@@ -36,8 +38,9 @@ class FiberRing(_Frozen):
     character (index 0) is the identity; all nonzero structure constants
     are 1.
 
-    No __slots__: the lazy `codes` and `positions` live in the instance
-    __dict__."""
+    No __slots__: the lazy `columns`, `_degrees`, `codes` and `positions`
+    live in the instance __dict__.  They are derived from `alphas` alone,
+    so copies and pickles, which carry the fields only, rebuild them."""
 
     _fields = ("group", "orders", "alphas")
 
@@ -46,6 +49,16 @@ class FiberRing(_Frozen):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "alphas", alphas)
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        """Coordinate i of every exponent vector as one string: character k
+        has ordinal alphas[k][i]."""
+        return tuple("".join(map(chr, column)) for column in zip(*self.alphas))
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(map(sum, self.alphas))
 
     @cached_property
     def codes(self) -> list[int]:
@@ -103,17 +116,28 @@ class FiberRing(_Frozen):
         return [[get(a + b) for b in codes] for a in codes]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(a) for a in self.alphas)
+        """Total degree of each basis monomial, by index; summed once per
+        ring."""
+        return self._degrees
 
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
     """Construct the fiber ring of valid, totally ramified data.
 
     alpha_i(chi) solves psi_i^alpha_i = chi on H_i.  alpha is a homomorphism
-    from the character group to prod Z/d_i, so the table is filled in
-    lexicographic character order from the images of the unit characters
-    e_j: alpha(chi + e_j) = alpha(chi) + alpha(e_j) mod d, where
-    alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j) mod d_i.
+    from the character group to prod Z/d_i, so it is fixed by the images of
+    the unit characters e_j: alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j)
+    mod d_i.
+
+    The table is built as one column per coordinate i, the list of alpha_i
+    over the basis indices.  A column starts as [0], the value at the empty
+    digit string, and takes the moduli from last to first, prepending one
+    digit per step: index c_j * (m_{j+1} ... m_r) + k holds
+    column[k] + c_j * alpha_i(e_j) mod d_i.  So the new column is m_j copies
+    of the old one, each shifted from the one before by alpha_i(e_j)
+    through one lookup table (a zero step repeats the column), and the
+    indices come out in lexicographic order.  The exponent vectors are the
+    rows of the columns.
 
     alpha is injective exactly when the data is totally ramified: a
     nontrivial character trivial on every H_i exists iff the H_i generate a
@@ -121,33 +145,44 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
-    orders = data.orders
-    alphas = [(0,) * data.size]
-    for j, m in enumerate(data.group.moduli):
+    moduli, orders = data.group.moduli, data.orders
+    steps = []
+    for j, m in enumerate(moduli):
         step = []
-        for datum in data.branch:
-            d = datum.order
+        for datum, d in zip(data.branch, orders):
             num = datum.generator.residues[j] * d
             if num % m:
                 raise ArithmeticError("character value outside the inertia dual")
             step.append(pow(datum.char_residue, -1, d) * (num // m) % d)
-        grown = []
-        for a in alphas:
-            for _ in range(m):
-                grown.append(a)
-                a = tuple((x + y) % d for x, y, d in zip(a, step, orders))
-        alphas = grown
+        steps.append(step)
+    columns = []
+    for i, d in enumerate(orders):
+        column = [0]
+        for m, step in zip(reversed(moduli), reversed(steps)):
+            t = step[i]
+            if not t:
+                column *= m
+                continue
+            shift = [*range(t, d), *range(t)]
+            grown = column
+            for _ in range(m - 1):
+                column = list(map(shift.__getitem__, column))
+                grown += column
+            column = grown
+        columns.append(column)
+    # With no branch there are no columns, and every vector is empty.
+    alphas = tuple(zip(*columns)) or ((),) * n
     if len(set(alphas)) != n:
         raise ValueError(
             "data is not totally ramified; classify factors covers first "
             "(ramification_factorization) and works on the restricted part")
-    return FiberRing(data.group, orders, tuple(alphas))
+    return FiberRing(data.group, orders, alphas)
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:
     """Basis characters of the socle: those chi with w_chi * w_chi' = 0 for
-    every nontrivial chi'.  Never empty; the ring is Gorenstein exactly when
-    this has one element.
+    every nontrivial chi', in lexicographic order.  Never empty; the ring
+    is Gorenstein exactly when this has one element.
 
     w_a is in the socle iff no other exponent vector of the ring dominates a
     componentwise.  If w_a * w_b != 0 for a nontrivial b, then a + b is an
@@ -155,27 +190,60 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     c - a lies in the invariant lattice and in the box, so it is a
     nontrivial b with w_a * w_b = w_c != 0.
 
-    The dominance test runs on bitsets over the basis indices: at[i][v] holds
-    the indices k with alphas[k][i] >= v, and k is in the socle iff no index
-    but k survives the AND over i of at[i][alphas[k][i]]."""
+    The pass walks the total degrees downward.  `covered` is the set of
+    indices dominated by a socle vector found so far, and an index is in
+    the socle iff it is not covered when its degree is reached.
+    - A covered vector is not maximal: `covered` then holds only vectors
+      dominated by a socle vector of higher degree, so by another vector.
+    - An uncovered vector a is maximal.  If a vector c != a dominated a, c
+      would have higher degree, and so would a maximal vector m dominating
+      c.  By induction over the walk m is in the socle, found before a, so
+      a would be covered.
+    A vector dominated by one of equal degree equals it, so the socle
+    vectors of one degree cover nothing else of that degree: one snapshot of
+    `covered` per degree serves every test at that degree.  Once everything
+    is covered, no socle vector is left.
+
+    Sets of indices are bitsets, index k at bit n - 1 - k, so that the
+    binary string of a bitset holds index k at position k.  at[i][v] is the
+    set of indices with alpha_i >= v, made on first use from column i in one
+    translation (none for v = d_i).  The vectors dominated by a are those
+    outside at[i][a_i + 1] for every i, so each socle vector costs s
+    whole-ring operations.
+
+    >>> from abelcover import AbelianGroup, BranchDatum, CombinatorialData, validate
+    >>> G = AbelianGroup((2, 2, 2))
+    >>> e1, e2, e3 = G.generators()
+    >>> lines = (e1, e2, e3, e1 + e2 + e3)
+    >>> data = validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
+    >>> [chi.residues for chi in socle_basis(build_fiber_ring(data))]
+    [(1, 1, 1)]
+    """
     n = ring.dimension
-    at = []
-    for i, d in enumerate(ring.orders):
-        masks = [0] * (d + 1)
-        for k, a in enumerate(ring.alphas):
-            masks[a[i]] |= 1 << k
-        for v in range(d - 1, -1, -1):
-            masks[v] |= masks[v + 1]
-        at.append(masks)
+    alphas, orders, degrees = ring.alphas, ring.orders, ring.degrees()
+    at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
-    out = []
-    for k, a in enumerate(ring.alphas):
-        others = everyone ^ (1 << k)
-        for masks, x in zip(at, a):
-            others &= masks[x]
-        if not others:
-            out.append(ring.character(k))
-    return out
+    socle, covered, snapshot = [], 0, "0" * n
+    by_degree = sorted(range(n), key=degrees.__getitem__, reverse=True)
+    for _, level in groupby(by_degree, degrees.__getitem__):
+        fresh = [k for k in level if snapshot[k] == "0"]
+        for k in fresh:
+            above = 0
+            for i, v in enumerate(alphas[k]):
+                v += 1
+                mask = at[i].get(v)
+                if mask is None:
+                    table = "0" * v + "1" * (orders[i] - v)
+                    mask = at[i][v] = int(ring.columns[i].translate(table), 2)
+                above |= mask
+            covered |= everyone ^ above
+        socle += fresh
+        if covered == everyone:
+            break
+        if fresh:
+            snapshot = f"{covered:0{n}b}"
+    socle.sort()
+    return [ring.character(k) for k in socle]
 
 
 class HilbertNumerator(_Frozen):
@@ -209,12 +277,8 @@ class HilbertNumerator(_Frozen):
 
 def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
     """Degree distribution of the w_chi basis of the fiber ring."""
-    counts = [0] * (sum(d - 1 for d in ring.orders) + 1)
-    for degree in ring.degrees():
-        counts[degree] += 1
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return HilbertNumerator(tuple(counts))
+    tally = Counter(ring.degrees())
+    return HilbertNumerator(tuple(tally[degree] for degree in range(max(tally) + 1)))
 
 
 def _exponents_up_to(s: int, max_degree: int):
