@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .groups import Character, _Frozen, solve_character_congruences
+from .groups import Character, LimitExceeded, _Frozen, solve_character_congruences
 from .cover import (
     CombinatorialData,
     KernelDescription,
@@ -76,7 +76,8 @@ class CrossCheckError(RuntimeError):
 
 class GorensteinChecks(_Frozen):
     """Outcome of each Gorenstein route.  `socle` and `hilbert_palindromic`
-    are None when the fiber ring was not built (group order over the bound)."""
+    are None when the fiber ring was not built (group order over the bound,
+    or a ring past the representation caps of build_fiber_ring)."""
 
     __slots__ = _fields = ("lift", "watanabe", "socle", "hilbert_palindromic")
 
@@ -177,9 +178,10 @@ def classify(
     independent check on the presentation; its certificate is a character
     of the original ambient group.  The solver confirms a lift it finds but
     not the absence of one: a missed lift shows up here, as a disagreement
-    with the other routes.  Routes that would exceed
-    `fiber_order_limit` are recorded as skipped (None) rather than aborting
-    the report; the lift and SL routes always run.
+    with the other routes.  When build_fiber_ring refuses the ring
+    (LimitExceeded: over `fiber_order_limit` or past its representation
+    caps), the fiber routes are recorded as skipped (None) rather than
+    aborting the report; the lift and SL routes always run.
     """
     presentation = ramification_factorization(data)
     kd = kernel_K(data, presentation)
@@ -189,8 +191,11 @@ def classify(
     watanabe = gorenstein_watanabe(data, kd)
     socle_ok: bool | None = None
     palindromic: bool | None = None
-    if restricted.group.order <= fiber_order_limit:
+    try:
         ring = build_fiber_ring(restricted, order_limit=fiber_order_limit)
+    except LimitExceeded:
+        pass
+    else:
         socle_ok = len(socle_basis(ring)) == 1
         palindromic = hilbert_numerator(ring).palindromic
 

@@ -22,13 +22,18 @@ from .groups import (
 class BranchDatum(_Frozen):
     """One branch component through the point: a cyclic subgroup H = <generator>
     of the ambient group together with the character psi of H generating its
-    dual, encoded by psi(generator) = char_residue / ord(generator)."""
+    dual, encoded by psi(generator) = char_residue / ord(generator).
+    `order` = ord(generator) is stored once; it is not a field, since the
+    generator fixes it."""
 
-    __slots__ = _fields = ("generator", "char_residue")
+    _fields = ("generator", "char_residue")
+    __slots__ = (*_fields, "order")
 
     def __init__(self, generator: Element, char_residue: int):
+        order = generator.order()
         object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "char_residue", int(char_residue) % generator.order())
+        object.__setattr__(self, "char_residue", int(char_residue) % order)
+        object.__setattr__(self, "order", order)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -37,10 +42,6 @@ class BranchDatum(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.generator, self.char_residue))
-
-    @property
-    def order(self) -> int:
-        return self.generator.order()
 
     def canonical(self) -> "BranchDatum":
         """The same pair (H, psi) written against the canonical generator of H:

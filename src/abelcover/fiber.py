@@ -10,6 +10,7 @@ character group."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import cached_property
 from itertools import groupby
@@ -17,48 +18,60 @@ from math import comb, lcm
 from operator import mul
 
 from . import groups
-from .groups import AbelianGroup, Character, LimitExceeded, _Frozen
+from .groups import AbelianGroup, Character, LimitExceeded, _Frozen, _hermite
 from .cover import CombinatorialData, SumMapPresentation
 
 #: Largest group order for which the fiber ring is materialized.  The ring
-#: holds one exponent vector per element of G, and
+#: holds one exponent per element of G and branch line, and
 #: `fiber --table` prints |G|^2 products.  The value is part of the report:
 #: above it the two fiber-ring Gorenstein cross-checks are recorded as
 #: skipped, so changing it changes reports.
 DEFAULT_FIBER_ORDER_LIMIT = 4096
+
+#: Codec that lays a string out as one native-order 32-bit field per
+#: character.
+_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 
 
 class FiberRing(_Frozen):
     """dim = |G| algebra with basis {w_chi} and the overflow product rule.
 
     Basis index k is the character whose residues are the mixed-radix
-    digits of k against the group's moduli (lexicographic residue order);
-    `alphas[k]` is its exponent vector, `codes[k]` packs that vector into
-    one integer and `positions` maps the code back to k.  The trivial
-    character (index 0) is the identity; all nonzero structure constants
-    are 1.
+    digits of k against the group's moduli (lexicographic residue order).
+    The fields are the group, the orders d_i of the branch lines and
+    `columns`, one string per coordinate i whose character k has ordinal
+    alpha_i at index k.  The trivial character (index 0) is the identity;
+    all nonzero structure constants are 1.
 
-    No __slots__: the lazy `columns`, `_degrees`, `codes` and `positions`
-    live in the instance __dict__.  They are derived from `alphas` alone,
-    so copies and pickles, which carry the fields only, rebuild them."""
+    Derived state, made from the columns on first use: `alphas[k]`, the
+    exponent vector of index k; `codes[k]`, that vector packed into one
+    integer, and `positions`, which maps the code back to k; and the total
+    degrees.  No __slots__: these live in the instance __dict__.  Copies
+    and pickles carry the fields only and rebuild them.  classify reads the
+    columns and the degrees, never `alphas`."""
 
-    _fields = ("group", "orders", "alphas")
+    _fields = ("group", "orders", "columns")
 
-    def __init__(self, group: AbelianGroup, orders: tuple[int, ...],
-                 alphas: tuple[tuple[int, ...], ...]):
+    def __init__(self, group: AbelianGroup, orders: tuple[int, ...], columns: tuple[str, ...]):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "columns", columns)
 
     @cached_property
-    def columns(self) -> tuple[str, ...]:
-        """Coordinate i of every exponent vector as one string: character k
-        has ordinal alphas[k][i]."""
-        return tuple("".join(map(chr, column)) for column in zip(*self.alphas))
+    def alphas(self) -> tuple[tuple[int, ...], ...]:
+        # With no branch there are no columns, and every vector is empty.
+        return tuple(zip(*[map(ord, column) for column in self.columns])) or ((),) * self.dimension
 
     @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        return tuple(map(sum, self.alphas))
+    def _degrees(self) -> memoryview:
+        """Each column read as one integer with a 32-bit field per index
+        (native-order UTF-32, whose surrogate code points pass through), so
+        that the sum of the columns holds every total degree in its field,
+        read back as unsigned ints.  No field carries: build_fiber_ring caps
+        sum(d_i - 1) below 2^32."""
+        total = sum(int.from_bytes(column.encode(_UTF32, "surrogatepass"), sys.byteorder)
+                    for column in self.columns)
+        return memoryview(total.to_bytes(4 * self.dimension, sys.byteorder)).cast("I")
 
     @cached_property
     def codes(self) -> list[int]:
@@ -79,7 +92,7 @@ class FiberRing(_Frozen):
 
     @property
     def dimension(self) -> int:
-        return len(self.alphas)
+        return self.group.order
 
     def index(self, chi: Character) -> int:
         idx = 0
@@ -95,7 +108,8 @@ class FiberRing(_Frozen):
         return Character(self.group, tuple(reversed(residues)))
 
     def alpha(self, chi: Character) -> tuple[int, ...]:
-        return self.alphas[self.index(chi)]
+        k = self.index(chi)
+        return tuple(ord(column[k]) for column in self.columns)
 
     def product_index(self, i: int, j: int) -> int | None:
         """Index of w_i * w_j in the basis, or None for the zero product.
@@ -115,7 +129,7 @@ class FiberRing(_Frozen):
         codes, get = self.codes, self.positions.get
         return [[get(a + b) for b in codes] for a in codes]
 
-    def degrees(self) -> tuple[int, ...]:
+    def degrees(self) -> memoryview:
         """Total degree of each basis monomial, by index; summed once per
         ring."""
         return self._degrees
@@ -129,23 +143,39 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     the unit characters e_j: alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j)
     mod d_i.
 
-    The table is built as one column per coordinate i, the list of alpha_i
-    over the basis indices.  A column starts as [0], the value at the empty
-    digit string, and takes the moduli from last to first, prepending one
-    digit per step: index c_j * (m_{j+1} ... m_r) + k holds
-    column[k] + c_j * alpha_i(e_j) mod d_i.  So the new column is m_j copies
-    of the old one, each shifted from the one before by alpha_i(e_j)
-    through one lookup table (a zero step repeats the column), and the
-    indices come out in lexicographic order.  The exponent vectors are the
-    rows of the columns.
+    The ring is built as one string per coordinate i, whose character k has
+    ordinal alpha_i at basis index k.  A column starts as "\\0", the value at
+    the empty digit string, and takes the moduli from last to first,
+    prepending one digit per step: index c_j * (m_{j+1} ... m_r) + k holds
+    column[k] + c_j * t mod d_i, with t = alpha_i(e_j).  So the new column
+    is m_j copies of the old one, each the one before translated through
+    the table values[t:] + values[:t], with values = [0, 1, ..., d_i - 1];
+    a zero step repeats the column.  The indices come out in lexicographic
+    order.  A character holds exponents up to 0x10FFFF, and the degrees are
+    summed in 32-bit fields (FiberRing._degrees), so a ring past either cap
+    raises LimitExceeded before any column is built.
 
-    alpha is injective exactly when the data is totally ramified: a
-    nontrivial character trivial on every H_i exists iff the H_i generate a
-    proper subgroup, and it shares the exponent vector of the identity."""
+    alpha is injective exactly when the data is totally ramified: its kernel
+    is the set of characters trivial on every H_i, which is nontrivial iff
+    the H_i generate a proper subgroup, and such a character shares the
+    exponent vector of the identity.  The generators span G iff every pivot
+    of their Hermite basis against the moduli is 1, since the span has order
+    prod(m) / prod(pivots) (see _hermite); that costs O(r^2 s), not a
+    comparison of n vectors.  The check is a precondition, not a Gorenstein
+    route: classify passes the restriction of its SNF presentation, and the
+    fiber routes read only the ring."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
     moduli, orders = data.group.moduli, data.orders
+    if max(orders, default=1) - 1 > sys.maxunicode:
+        raise LimitExceeded(
+            f"branch order {max(orders)} exceeds the fiber ring's exponent cap: "
+            f"exponents up to {sys.maxunicode:#x}")
+    top = sum(orders) - len(orders)
+    if top >= 1 << 32:
+        raise LimitExceeded(
+            f"top degree {top} exceeds the fiber ring's degree cap: degrees below 2^32")
     steps = []
     for j, m in enumerate(moduli):
         step = []
@@ -155,28 +185,28 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 raise ArithmeticError("character value outside the inertia dual")
             step.append(pow(datum.char_residue, -1, d) * (num // m) % d)
         steps.append(step)
+    hermite = _hermite(moduli, [datum.generator.residues for datum in data.branch])
+    if any(row[k] != 1 for k, row in enumerate(hermite)):
+        raise ValueError(
+            "data is not totally ramified; classify factors covers first "
+            "(ramification_factorization) and works on the restricted part")
     columns = []
     for i, d in enumerate(orders):
-        column = [0]
+        values = list(range(d))
+        column = "\0"
         for m, step in zip(reversed(moduli), reversed(steps)):
             t = step[i]
             if not t:
                 column *= m
                 continue
-            shift = [*range(t, d), *range(t)]
-            grown = column
+            shift = values[t:] + values[:t]
+            copies = [column]
             for _ in range(m - 1):
-                column = list(map(shift.__getitem__, column))
-                grown += column
-            column = grown
+                column = column.translate(shift)
+                copies.append(column)
+            column = "".join(copies)
         columns.append(column)
-    # With no branch there are no columns, and every vector is empty.
-    alphas = tuple(zip(*columns)) or ((),) * n
-    if len(set(alphas)) != n:
-        raise ValueError(
-            "data is not totally ramified; classify factors covers first "
-            "(ramification_factorization) and works on the restricted part")
-    return FiberRing(data.group, orders, alphas)
+    return FiberRing(data.group, orders, tuple(columns))
 
 
 def socle_basis(ring: FiberRing) -> list[Character]:
@@ -207,9 +237,10 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     Sets of indices are bitsets, index k at bit n - 1 - k, so that the
     binary string of a bitset holds index k at position k.  at[i][v] is the
     set of indices with alpha_i >= v, made on first use from column i in one
-    translation (none for v = d_i).  The vectors dominated by a are those
-    outside at[i][a_i + 1] for every i, so each socle vector costs s
-    whole-ring operations.
+    translation through "0" * v + "1" * (d_i - v) (none for v = d_i).  The
+    vectors dominated by a are those outside at[i][a_i + 1] for every i, so
+    each socle vector costs s whole-ring operations, and its exponents are
+    read as ord(columns[i][k]).
 
     >>> from abelcover import AbelianGroup, BranchDatum, CombinatorialData, validate
     >>> G = AbelianGroup((2, 2, 2))
@@ -220,7 +251,7 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     [(1, 1, 1)]
     """
     n = ring.dimension
-    alphas, orders, degrees = ring.alphas, ring.orders, ring.degrees()
+    columns, orders, degrees = ring.columns, ring.orders, ring.degrees()
     at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
     socle, covered, snapshot = [], 0, "0" * n
@@ -229,12 +260,12 @@ def socle_basis(ring: FiberRing) -> list[Character]:
         fresh = [k for k in level if snapshot[k] == "0"]
         for k in fresh:
             above = 0
-            for i, v in enumerate(alphas[k]):
-                v += 1
+            for i, column in enumerate(columns):
+                v = ord(column[k]) + 1
                 mask = at[i].get(v)
                 if mask is None:
                     table = "0" * v + "1" * (orders[i] - v)
-                    mask = at[i][v] = int(ring.columns[i].translate(table), 2)
+                    mask = at[i][v] = int(column.translate(table), 2)
                 above |= mask
             covered |= everyone ^ above
         socle += fresh

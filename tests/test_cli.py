@@ -341,6 +341,29 @@ class TestMain:
         assert main([command, "--max-order", "0"]) == EXIT_INVALID
         assert self._single_error_line(capsys) == "error: --max-order: must be >= 1, got 0\n"
 
+    def test_exponents_past_the_code_point_range(self, capsys, monkeypatch):
+        # Lines of order 1114117 have exponents past U+10FFFF, which the
+        # fiber ring cannot hold: classify skips both fiber routes and the
+        # fiber commands stop at the limit, all before any column is built.
+        text = json.dumps({"group": [1114117], "branch": [
+            {"generator": [1], "character": 1},
+            {"generator": [1], "character": 2},
+        ]})
+        start = perf_counter()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify", "--max-order", "2000000"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert ("  cross-checks: lift=no watanabe=no socle=skipped (limit) "
+                "hilbert=skipped (limit)\n") in captured.out
+        assert captured.err == ""
+        for command in ("socle", "fiber", "hilbert"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main([command, "--max-order", "2000000"]) == EXIT_LIMIT
+            assert capsys.readouterr() == (
+                "limit exceeded: branch order 1114117 exceeds the fiber ring's exponent cap: "
+                "exponents up to 0x10ffff\n", "")
+        assert perf_counter() - start < 1
+
     def test_cross_check_disagreement(self, capsys, monkeypatch):
         # A disagreement between Gorenstein routes is a bug: one located
         # line, then the canonical input as a one-line reproducer, exit 3.
@@ -415,10 +438,12 @@ class TestMain:
 class TestGolden:
     """Byte-for-byte CLI output on fixed documents: the registry examples at
     their defaults, a partially ramified point (Z/105 with one line through
-    5) and a totally ramified point over the fiber bound ((Z/2)^13 with the
-    coordinate lines and the diagonal).  The captures are the behaviour
-    contract of the text and JSON reports; they are never regenerated to
-    follow a code change."""
+    5), a totally ramified point over the fiber bound ((Z/2)^13 with the
+    coordinate lines and the diagonal) and one whose exponents pass 255
+    (Z/8 + Z/9 + Z/7 with lines of orders 504, 504, 168 and 252; plain
+    `fiber`, since its table would have 254016 cells).  The captures are
+    the behaviour contract of the text and JSON reports; they are never
+    regenerated to follow a code change."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=[c["stdout"].removesuffix(".out") for c in GOLDEN_CASES])

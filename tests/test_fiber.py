@@ -6,6 +6,7 @@ from itertools import product
 from time import perf_counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abelcover import (
     AbelianGroup,
@@ -25,6 +26,8 @@ from helpers import (
     brute_discrete_log,
     character_value,
     dual_numbers_data,
+    random_data,
+    random_group,
     random_total_data,
     series_counts,
     z2cubed_data,
@@ -62,6 +65,20 @@ def wide_order_data():
     C = AbelianGroup((307,))
     line = C.element((1,))
     yield validate(CombinatorialData(C, tuple(BranchDatum(line, a) for a in (1, 5, 2))))
+
+
+def brute_span(moduli, generators):
+    """The subgroup of Z/m_1 + ... + Z/m_r that the generators span, by
+    adding generators until nothing new appears."""
+    span, frontier = {(0,) * len(moduli)}, [(0,) * len(moduli)]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple((a + b) % m for a, b, m in zip(x, g, moduli))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
 
 
 def pairwise_socle(ring):
@@ -195,6 +212,54 @@ class TestFiberRing:
     def test_order_limit(self):
         with pytest.raises(LimitExceeded):
             build_fiber_ring(z2cubed_data(), order_limit=4)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_rejects_exactly_the_proper_spans(self, seed):
+        # The build decides total ramification from the Hermite pivots of
+        # the generators; the span enumerated element by element decides it
+        # too, and so does a repeated exponent vector.
+        rng = random.Random(seed)
+        while True:
+            try:
+                data = random_data(rng, random_group(rng, max_order=144), max_branch=3)
+                break
+            except RuntimeError:  # too few distinct lines in a small group
+                continue
+        moduli = data.group.moduli
+        span = brute_span(moduli, [datum.generator.residues for datum in data.branch])
+        if len(span) < data.group.order:
+            with pytest.raises(ValueError, match="not totally ramified"):
+                build_fiber_ring(data)
+        else:
+            assert len(set(build_fiber_ring(data).alphas)) == data.group.order
+
+    def test_representation_caps(self):
+        # Both caps are checked before any column is built.  The lines span
+        # half of G, so a build that missed a cap would stop at the
+        # totally-ramified check rather than allocate gigabytes of columns.
+        wide = CombinatorialData.from_residues((1114117, 2), [((1, 0), 1), ((1, 0), 2)])
+        with pytest.raises(LimitExceeded, match="exponent cap: exponents up to 0x10ffff"):
+            build_fiber_ring(wide, order_limit=1 << 22)
+        deep = CombinatorialData.from_residues(
+            (1 << 20, 2), [((1, 0), a) for a in range(1, 8195, 2)])
+        assert sum(deep.orders) - deep.size >= 1 << 32
+        with pytest.raises(LimitExceeded, match="degree cap: degrees below 2\\^32"):
+            build_fiber_ring(deep, order_limit=1 << 21)
+
+    def test_classify_path_keeps_no_alphas(self):
+        ring = build_fiber_ring(elementary_lines(random.Random(71), 12, 1))
+        assert ring.dimension == 4096
+        socle_basis(ring)
+        hilbert_numerator(ring)
+        assert "alphas" not in ring.__dict__
+
+    def test_degrees_match_sums(self):
+        rings = [build_fiber_ring(elementary_lines(random.Random(73), 12, 3))]
+        rings += [build_fiber_ring(data) for data in wide_order_data()]
+        assert len(rings[0].orders) >= 13
+        assert max(max(ring.degrees()) for ring in rings) > 255
+        for ring in rings:
+            assert list(ring.degrees()) == [sum(alpha) for alpha in ring.alphas]
 
     def test_alpha_bijection(self):
         rng = random.Random(17)

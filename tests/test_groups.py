@@ -455,7 +455,7 @@ VALUE_CLASSES = {
     "SumMapPresentation": (lambda v: ramification_factorization(_zpqr(v)), "etale_index"),
     "KernelDescription": (
         lambda v: kernel_K(_zpqr(v), ramification_factorization(_zpqr(v))), "order"),
-    "FiberRing": (lambda v: build_fiber_ring(_zpqr(v)), "alphas"),
+    "FiberRing": (lambda v: build_fiber_ring(_zpqr(v)), "columns"),
     "HilbertNumerator": (
         lambda v: hilbert_numerator(build_fiber_ring(_zpqr(v))), "coefficients"),
     "GorensteinChecks": (lambda v: GorensteinChecks(True, True, None, v == 0), "lift"),
@@ -500,6 +500,7 @@ class TestValueClasses:
         assert G.moduli == (4, 6)
         assert G.element([5, -1]).residues == (1, 5)
         assert BranchDatum(G.element((1, 0)), 7).char_residue == 3
+        assert BranchDatum(G.element((2, 3)), 1).order == 2
         assert CombinatorialData(G, [BranchDatum(G.element((1, 0)), 1)]).branch == (
             BranchDatum(G.element((1, 0)), 1),)
         assert AbelianGroup() == AbelianGroup(())
