@@ -8,6 +8,7 @@ subgroup extend to the whole group."""
 
 from __future__ import annotations
 
+from itertools import islice
 from math import lcm
 
 from .groups import Character, LimitExceeded, _Frozen, solve_character_congruences
@@ -196,7 +197,7 @@ def classify(
     except LimitExceeded:
         pass
     else:
-        socle_ok = len(socle_basis(ring)) == 1
+        socle_ok = len(list(islice(socle_basis(ring), 2))) == 1
         palindromic = hilbert_numerator(ring).palindromic
 
     checks = GorensteinChecks(certificate is not None, watanabe, socle_ok, palindromic)

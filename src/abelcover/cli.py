@@ -506,7 +506,7 @@ def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LI
     _check_max_order(max_order)
     data = validate(doc)
     ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
-    basis = socle_basis(ring)
+    basis = sorted(socle_basis(ring), key=ring.index)
     lines = [f"socle dimension: {len(basis)}"]
     for chi in basis:
         lines.append(f"  w{chi} : exponents {list(ring.alpha(chi))}")

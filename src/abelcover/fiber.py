@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from functools import cached_property
-from itertools import groupby
 from math import comb, lcm
 from operator import mul
 
@@ -209,10 +209,11 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     return FiberRing(data.group, orders, tuple(columns))
 
 
-def socle_basis(ring: FiberRing) -> list[Character]:
+def socle_basis(ring: FiberRing) -> Iterator[Character]:
     """Basis characters of the socle: those chi with w_chi * w_chi' = 0 for
-    every nontrivial chi', in lexicographic order.  Never empty; the ring
-    is Gorenstein exactly when this has one element.
+    every nontrivial chi', yielded in walk order: by total degree from the
+    top down, and by index within a degree.  Never empty; the ring is
+    Gorenstein exactly when it yields one character.
 
     w_a is in the socle iff no other exponent vector of the ring dominates a
     componentwise.  If w_a * w_b != 0 for a nontrivial b, then a + b is an
@@ -234,6 +235,21 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     `covered` per degree serves every test at that degree.  Once everything
     is covered, no socle vector is left.
 
+    Each socle vector is yielded when found, so a caller that stops early
+    pays only for the levels walked so far.  A second yielded vector proves
+    that the socle has dimension at least 2.  A walk that ends after one
+    vector proves dimension 1: it ends only when everything is covered or
+    every degree is walked, and either way every socle vector has been
+    yielded.
+
+    The degrees are the distinct values of ring.degrees(), and the indices
+    of one degree are found straight in its packed fields: the degree's
+    4-byte native-order pattern is searched in the underlying bytes, and
+    index k is field k, at byte offset 4k.  A match at an offset that is not
+    a multiple of 4 straddles two fields, the end of one and the start of
+    the next, and is skipped; every field holding the degree is still found,
+    since the search resumes one byte past each match.
+
     Sets of indices are bitsets, index k at bit n - 1 - k, so that the
     binary string of a bitset holds index k at position k.  at[i][v] is the
     set of indices with alpha_i >= v, made on first use from column i in one
@@ -252,29 +268,33 @@ def socle_basis(ring: FiberRing) -> list[Character]:
     """
     n = ring.dimension
     columns, orders, degrees = ring.columns, ring.orders, ring.degrees()
+    fields = degrees.obj
     at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
-    socle, covered, snapshot = [], 0, "0" * n
-    by_degree = sorted(range(n), key=degrees.__getitem__, reverse=True)
-    for _, level in groupby(by_degree, degrees.__getitem__):
-        fresh = [k for k in level if snapshot[k] == "0"]
-        for k in fresh:
-            above = 0
-            for i, column in enumerate(columns):
-                v = ord(column[k]) + 1
-                mask = at[i].get(v)
-                if mask is None:
-                    table = "0" * v + "1" * (orders[i] - v)
-                    mask = at[i][v] = int(column.translate(table), 2)
-                above |= mask
-            covered |= everyone ^ above
-        socle += fresh
+    covered, snapshot = 0, "0" * n
+    for degree in sorted(set(degrees), reverse=True):
+        pattern = degree.to_bytes(4, sys.byteorder)
+        fresh = False
+        offset = fields.find(pattern)
+        while offset >= 0:
+            k, straddle = divmod(offset, 4)
+            if not straddle and snapshot[k] == "0":
+                above = 0
+                for i, column in enumerate(columns):
+                    v = ord(column[k]) + 1
+                    mask = at[i].get(v)
+                    if mask is None:
+                        table = "0" * v + "1" * (orders[i] - v)
+                        mask = at[i][v] = int(column.translate(table), 2)
+                    above |= mask
+                covered |= everyone ^ above
+                fresh = True
+                yield ring.character(k)
+            offset = fields.find(pattern, offset + 1)
         if covered == everyone:
-            break
+            return
         if fresh:
             snapshot = f"{covered:0{n}b}"
-    socle.sort()
-    return [ring.character(k) for k in socle]
 
 
 class HilbertNumerator(_Frozen):

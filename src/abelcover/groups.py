@@ -255,12 +255,6 @@ class Element(_Frozen):
             raise ValueError("elements of different groups")
         return Element(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
 
-    def __neg__(self) -> "Element":
-        return Element(self.group, tuple(-r for r in self.residues))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
     def __mul__(self, k: int) -> "Element":
         return Element(self.group, tuple(k * r for r in self.residues))
 

@@ -248,6 +248,16 @@ def single_datum_z105() -> CombinatorialData:
 # Random sampling
 
 
+def elementary_lines(rng, r, extra):
+    """(Z/2)^r with the r coordinate lines and `extra` more distinct random
+    nonzero lines (as many as exist, if fewer)."""
+    G = AbelianGroup((2,) * r)
+    coordinate = list(G.generators())
+    others = [e for e in G.elements() if sum(e.residues) > 1]
+    lines = coordinate + rng.sample(others, min(extra, len(others)))
+    return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
+
+
 def random_group(rng, max_order=512, max_rank=3) -> AbelianGroup:
     while True:
         rank = rng.randint(1, max_rank)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from time import perf_counter
 
@@ -36,6 +37,7 @@ from abelcover.cli import examples_registry
 from helpers import (
     chain_law_oracle,
     character_value,
+    elementary_lines,
     random_data,
     random_group,
     random_total_data,
@@ -58,7 +60,7 @@ def kernel_of(data):
 def socle_is_simple(data):
     """Socle test on the fiber ring of the totally ramified restriction."""
     restricted = ramification_factorization(data).restricted
-    return len(socle_basis(build_fiber_ring(restricted))) == 1
+    return len(list(socle_basis(build_fiber_ring(restricted)))) == 1
 
 
 class TestGorensteinLift:
@@ -145,6 +147,25 @@ class TestGorensteinSocle:
 
     def test_restricts_internally(self):
         assert socle_is_simple(single_datum_z105())
+
+    def test_classify_pulls_at_most_two(self, monkeypatch):
+        # (Z/2)^12 with 42 lines: a socle of 4047 characters, of which
+        # classify needs two to know that the point is not Gorenstein.
+        data = elementary_lines(random.Random(61), 12, 30)
+        expected = classify(data)
+        pulls = []
+
+        def counting(ring):
+            for chi in socle_basis(ring):
+                pulls.append(chi)
+                yield chi
+
+        monkeypatch.setattr(sys.modules[classify.__module__], "socle_basis", counting)
+        assert classify(data) == expected
+        assert len(pulls) == 2
+        assert expected.cross_checks.socle is False
+        restricted = ramification_factorization(data).restricted
+        assert len(list(socle_basis(build_fiber_ring(restricted)))) == 4047
 
 
 def lci_of(data):

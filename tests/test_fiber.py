@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
@@ -26,6 +27,7 @@ from helpers import (
     brute_discrete_log,
     character_value,
     dual_numbers_data,
+    elementary_lines,
     random_data,
     random_group,
     random_total_data,
@@ -39,16 +41,6 @@ from helpers import (
 def monomials(data, max_degree):
     return invariant_monomials_up_to_degree(
         data, max_degree, presentation=ramification_factorization(data))
-
-
-def elementary_lines(rng, r, extra):
-    """(Z/2)^r with the r coordinate lines and `extra` more distinct random
-    nonzero lines (as many as exist, if fewer)."""
-    G = AbelianGroup((2,) * r)
-    coordinate = list(G.generators())
-    others = [e for e in G.elements() if sum(e.residues) > 1]
-    lines = coordinate + rng.sample(others, min(extra, len(others)))
-    return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
 
 
 def wide_order_data():
@@ -88,6 +80,11 @@ def pairwise_socle(ring):
     return [chi for chi in characters
             if all(ring.product(chi, other) is None
                    for other in characters if not other.is_trivial)]
+
+
+def sorted_socle(ring):
+    """The whole walk of socle_basis, in lexicographic order."""
+    return sorted(socle_basis(ring), key=ring.index)
 
 
 def toy_z2sq():
@@ -249,7 +246,7 @@ class TestFiberRing:
     def test_classify_path_keeps_no_alphas(self):
         ring = build_fiber_ring(elementary_lines(random.Random(71), 12, 1))
         assert ring.dimension == 4096
-        socle_basis(ring)
+        assert list(socle_basis(ring))
         hilbert_numerator(ring)
         assert "alphas" not in ring.__dict__
 
@@ -339,7 +336,7 @@ class TestSocle:
         for _ in range(15):
             data = random_total_data(rng, max_order=96, max_branch=4)
             ring = build_fiber_ring(data)
-            basis = socle_basis(ring)
+            basis = list(socle_basis(ring))
             assert basis
             if data.size >= 1:
                 assert all(not chi.is_trivial for chi in basis)
@@ -358,9 +355,33 @@ class TestSocle:
         largest = 0
         for ring in rings:
             expected = pairwise_socle(ring)
-            assert socle_basis(ring) == expected
+            assert sorted_socle(ring) == expected
             largest = max(largest, len(expected))
         assert largest > 32
+
+    def test_walk_order(self):
+        # The walk yields by degree from the top down.  In Z/257 and Z/513
+        # with one line the top degree is 256w and index w has degree w, so
+        # the level's 4-byte pattern also matches across fields w - 1 and w,
+        # at an offset that is not a multiple of 4; taken as a field, that
+        # match would yield index w - 1 as well.
+        rng = random.Random(79)
+        rings = [build_fiber_ring(random_total_data(rng, max_order=256, max_branch=5))
+                 for _ in range(20)]
+        rings += [build_fiber_ring(data) for data in wide_order_data()]
+        for n in (257, 513):
+            C = AbelianGroup((n,))
+            rings.append(build_fiber_ring(
+                validate(CombinatorialData(C, (BranchDatum(C.element((1,)), 1),)))))
+        for ring in rings:
+            degrees = ring.degrees()
+            walk = [degrees[ring.index(chi)] for chi in socle_basis(ring)]
+            assert walk[0] == max(degrees)
+            assert walk == sorted(walk, reverse=True)
+            assert sorted_socle(ring) == pairwise_socle(ring)
+        for ring in rings[-2:]:
+            fields, top = ring.degrees().obj, (ring.dimension - 1).to_bytes(4, sys.byteorder)
+            assert any(k % 4 and fields.startswith(top, k) for k in range(len(fields)))
 
     def test_large_socle_is_fast(self):
         # The socle pass pays per socle vector, so rings whose socle is most
@@ -370,7 +391,7 @@ class TestSocle:
             best = float("inf")
             for _ in range(3):
                 start = perf_counter()
-                basis = socle_basis(build_fiber_ring(data))
+                basis = list(socle_basis(build_fiber_ring(data)))
                 best = min(best, perf_counter() - start)
             assert len(basis) == size
             assert best < 0.3, f"build and socle took {best:.3f} s with {data.size} lines"
@@ -384,7 +405,7 @@ class TestSocle:
                     assert 0 <= a < datum.order
                     assert (a * base - character_value(chi, datum.generator)) % 1 == 0
             assert max(data.orders) > 255
-            assert socle_basis(ring) == pairwise_socle(ring)
+            assert sorted_socle(ring) == pairwise_socle(ring)
             degrees = [sum(alpha) for alpha in ring.alphas]
             coefficients = hilbert_numerator(ring).coefficients
             assert list(coefficients) == [degrees.count(d) for d in range(max(degrees) + 1)]
@@ -392,7 +413,7 @@ class TestSocle:
     def test_empty_branch_list(self):
         ring = build_fiber_ring(validate(CombinatorialData(AbelianGroup(()), ())))
         assert ring.alphas == ((),)
-        assert socle_basis(ring) == pairwise_socle(ring) == [ring.group.trivial_character()]
+        assert sorted_socle(ring) == pairwise_socle(ring) == [ring.group.trivial_character()]
         assert hilbert_numerator(ring).coefficients == (1,)
         with pytest.raises(ValueError, match="not totally ramified"):
             build_fiber_ring(validate(CombinatorialData(AbelianGroup((2,)), ())))
@@ -406,10 +427,10 @@ class TestSocle:
         rings += [build_fiber_ring(random_total_data(rng, max_order=96, max_branch=4))
                   for _ in range(5)]
         for ring in rings:
-            expected = socle_basis(ring)
+            expected = list(socle_basis(ring))
             for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
                 assert copied == ring
-                assert socle_basis(copied) == expected
+                assert list(socle_basis(copied)) == expected
                 assert hilbert_numerator(copied) == hilbert_numerator(ring)
 
     def test_certificate_inverse_in_socle(self):
@@ -423,7 +444,7 @@ class TestSocle:
             hits += 1
             ring = build_fiber_ring(data)
             inverse = cert.inverse()
-            assert socle_basis(ring) == [inverse]
+            assert list(socle_basis(ring)) == [inverse]
             assert ring.alpha(inverse) == tuple(d - 1 for d in data.orders)
         assert hits >= 3
 
