@@ -76,18 +76,12 @@ class CrossCheckError(RuntimeError):
 
 
 class GorensteinChecks(_Frozen):
-    """Outcome of each Gorenstein route.  `socle` and `hilbert_palindromic`
-    are None when the fiber ring was not built (group order over the bound,
-    or a ring past the representation caps of build_fiber_ring)."""
+    """Outcome of each Gorenstein route, built from (lift, watanabe, socle,
+    hilbert_palindromic).  `socle` and `hilbert_palindromic` are None when
+    the fiber ring was not built (group order over the bound, or a ring past
+    the representation caps of build_fiber_ring)."""
 
     __slots__ = _fields = ("lift", "watanabe", "socle", "hilbert_palindromic")
-
-    def __init__(self, lift: bool, watanabe: bool, socle: bool | None,
-                 hilbert_palindromic: bool | None):
-        object.__setattr__(self, "lift", lift)
-        object.__setattr__(self, "watanabe", watanabe)
-        object.__setattr__(self, "socle", socle)
-        object.__setattr__(self, "hilbert_palindromic", hilbert_palindromic)
 
     def agree(self) -> bool:
         votes = {v for v in (self.lift, self.watanabe, self.socle, self.hilbert_palindromic)
@@ -96,25 +90,13 @@ class GorensteinChecks(_Frozen):
 
 
 class ClassificationReport(_Frozen):
+    """The local verdicts, built from (locally_simple, totally_ramified,
+    etale_index, kernel, gorenstein, certificate, cross_checks, lci,
+    lci_reason, smooth, assumptions), the keys of the JSON report in order."""
+
     __slots__ = _fields = (
         "locally_simple", "totally_ramified", "etale_index", "kernel", "gorenstein",
         "certificate", "cross_checks", "lci", "lci_reason", "smooth", "assumptions")
-
-    def __init__(self, locally_simple: bool, totally_ramified: bool, etale_index: int,
-                 kernel: KernelDescription, gorenstein: bool, certificate: Character | None,
-                 cross_checks: GorensteinChecks, lci: str, lci_reason: str, smooth: str,
-                 assumptions: tuple[str, ...]):
-        object.__setattr__(self, "locally_simple", locally_simple)
-        object.__setattr__(self, "totally_ramified", totally_ramified)
-        object.__setattr__(self, "etale_index", etale_index)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "gorenstein", gorenstein)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "cross_checks", cross_checks)
-        object.__setattr__(self, "lci", lci)
-        object.__setattr__(self, "lci_reason", lci_reason)
-        object.__setattr__(self, "smooth", smooth)
-        object.__setattr__(self, "assumptions", assumptions)
 
 
 def gorenstein_lift(data: CombinatorialData) -> Character | None:
@@ -203,23 +185,23 @@ def classify(
     checks = GorensteinChecks(certificate is not None, watanabe, socle_ok, palindromic)
     if not checks.agree():
         raise CrossCheckError(f"Gorenstein deciders disagree: {checks}", data)
-    gorenstein = certificate is not None
 
     lci, lci_reason = lci_classify(data, kd)
+    locally_simple = kd.order == 1
     # Smooth-conditional iff the sum map is injective (which covers the
     # unramified empty-data case), conditional on SMOOTHNESS_ASSUMPTION.
-    smooth = SMOOTH_CONDITIONAL if kd.order == 1 else NOT_SMOOTH
+    smooth = SMOOTH_CONDITIONAL if locally_simple else NOT_SMOOTH
 
     return ClassificationReport(
-        locally_simple=kd.order == 1,
-        totally_ramified=presentation.totally_ramified,
-        etale_index=presentation.etale_index,
-        kernel=kd,
-        gorenstein=gorenstein,
-        certificate=certificate,
-        cross_checks=checks,
-        lci=lci,
-        lci_reason=lci_reason,
-        smooth=smooth,
-        assumptions=(SMOOTHNESS_ASSUMPTION,),
+        locally_simple,
+        presentation.totally_ramified,
+        presentation.etale_index,
+        kd,
+        certificate is not None,
+        certificate,
+        checks,
+        lci,
+        lci_reason,
+        smooth,
+        (SMOOTHNESS_ASSUMPTION,),
     )

@@ -23,6 +23,7 @@ from .cover import (
 )
 from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
+    DEFAULT_HILBERT_DEGREE,
     build_fiber_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
@@ -369,49 +370,43 @@ def _expected_elementary(p: dict) -> dict:
 
 
 class ExampleEntry(_Frozen):
-    """A named example: its parameter defaults, the document builder and
-    the verdicts it must reach, both called with the merged parameters."""
+    """A named example, built from (name, summary, defaults, build,
+    expected): its parameter defaults, the document builder and the
+    verdicts it must reach, both called with the merged parameters."""
 
     __slots__ = _fields = ("name", "summary", "defaults", "build", "expected")
 
-    def __init__(self, name: str, summary: str, defaults: dict, build, expected):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "defaults", defaults)
-        object.__setattr__(self, "build", build)
-        object.__setattr__(self, "expected", expected)
 
-
-REGISTRY = {
-    "z2cubed": ExampleEntry(
+REGISTRY = {entry.name: entry for entry in (
+    ExampleEntry(
         "z2cubed",
         "(Z/2)^3 with four branch lines: Gorenstein but not locally simple, not lci",
         {},
         _build_z2cubed,
         _expected_z2cubed,
     ),
-    "zpqr": ExampleEntry(
+    ExampleEntry(
         "zpqr",
         "Z/pqr surface point: Gorenstein iff alpha = beta (mod p), then an A-type lci",
         {"p": 3, "q": 5, "r": 7, "alpha": 1, "beta": 1},
         _build_zpqr,
         _expected_zpqr,
     ),
-    "zpn-chain": ExampleEntry(
+    ExampleEntry(
         "zpn-chain",
         "Z/p^n with a chain of s subgroups and matching characters: always Gorenstein",
         {"p": 2, "n": 3, "s": 3, "c": 1},
         _build_zpn_chain,
         _expected_zpn_chain,
     ),
-    "elementary": ExampleEntry(
+    ExampleEntry(
         "elementary",
         "(Z/p)^n with the n coordinate subgroups: locally simple, smooth point",
         {"p": 2, "n": 3},
         _build_elementary,
         _expected_elementary,
     ),
-}
+)}
 
 
 def _example(name: str, params: dict | None) -> tuple[ExampleEntry, dict]:
@@ -514,7 +509,7 @@ def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LI
     return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = 12,
+def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = DEFAULT_HILBERT_DEGREE,
                 max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
@@ -647,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="degree data of the invariant ring")
     add_input(p)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE)
     p.add_argument("--max-order", type=int, default=DEFAULT_FIBER_ORDER_LIMIT)
 
     add_input(sub.add_parser("factor", help="totally ramified / etale factorization"))

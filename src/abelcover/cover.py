@@ -71,10 +71,6 @@ class BranchDatum(_Frozen):
             c, n = c + n * t, n // h * mp
         return BranchDatum(c * self.generator, self.char_residue * c)
 
-    def pair_key(self) -> tuple[tuple[int, ...], int]:
-        c = self.canonical()
-        return (c.generator.residues, c.char_residue)
-
 
 class CombinatorialData(_Frozen):
     """The ambient group G and the ordered branch data {(H_i, psi_i)} at the point."""
@@ -82,8 +78,7 @@ class CombinatorialData(_Frozen):
     __slots__ = _fields = ("group", "branch")
 
     def __init__(self, group: AbelianGroup, branch: tuple[BranchDatum, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "branch", tuple(branch))
+        super().__init__(group, tuple(branch))
 
     @classmethod
     def from_residues(cls, moduli, branch) -> "CombinatorialData":
@@ -112,13 +107,11 @@ class CombinatorialData(_Frozen):
 
 
 class ValidationIssue(_Frozen):
-    __slots__ = _fields = ("code", "index", "message")
+    """One violation of branch entry `index`, built from (code, index,
+    message).  The code is NonGeneratingCharacter, TrivialInertia,
+    DuplicatePair or MalformedElement."""
 
-    def __init__(self, code: str, index: int, message: str):
-        # code: NonGeneratingCharacter | TrivialInertia | DuplicatePair | MalformedElement
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "message", message)
+    __slots__ = _fields = ("code", "index", "message")
 
     def __str__(self) -> str:
         return f"branch[{self.index}]: {self.code}: {self.message}"
@@ -187,7 +180,8 @@ def sum_map(data: CombinatorialData) -> Hom:
 class SumMapPresentation(_Frozen):
     """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, presented once per input.
 
-    Every field comes from one Smith normal form of the relation matrix
+    Its fields (kernel_gens, kernel_order, image_order, etale_index,
+    restricted) all come from one Smith normal form of the relation matrix
     [g_1 ... g_s | diag(m_1, ..., m_r)], plus one of the relation lattice
     when nu is not surjective:
 
@@ -199,14 +193,6 @@ class SumMapPresentation(_Frozen):
 
     __slots__ = _fields = (
         "kernel_gens", "kernel_order", "image_order", "etale_index", "restricted")
-
-    def __init__(self, kernel_gens: tuple[Element, ...], kernel_order: int,
-                 image_order: int, etale_index: int, restricted: CombinatorialData):
-        object.__setattr__(self, "kernel_gens", kernel_gens)
-        object.__setattr__(self, "kernel_order", kernel_order)
-        object.__setattr__(self, "image_order", image_order)
-        object.__setattr__(self, "etale_index", etale_index)
-        object.__setattr__(self, "restricted", restricted)
 
     @property
     def totally_ramified(self) -> bool:
@@ -262,7 +248,8 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
 
 
 class KernelDescription(_Frozen):
-    """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s.
+    """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s, built from (generators,
+    order, min_support).
 
     min_support is the least number of nonzero coordinates over the nonzero
     elements of K.  It is exact when given; it is None when K is trivial or
@@ -271,11 +258,6 @@ class KernelDescription(_Frozen):
     """
 
     __slots__ = _fields = ("generators", "order", "min_support")
-
-    def __init__(self, generators: tuple[Element, ...], order: int, min_support: int | None):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "min_support", min_support)
 
 
 def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> KernelDescription:

@@ -28,6 +28,9 @@ from .cover import CombinatorialData, SumMapPresentation
 #: skipped, so changing it changes reports.
 DEFAULT_FIBER_ORDER_LIMIT = 4096
 
+#: Highest degree whose invariant monomials `hilbert` counts by default.
+DEFAULT_HILBERT_DEGREE = 12
+
 #: Codec that lays a string out as one native-order 32-bit field per
 #: character.
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
@@ -38,10 +41,10 @@ class FiberRing(_Frozen):
 
     Basis index k is the character whose residues are the mixed-radix
     digits of k against the group's moduli (lexicographic residue order).
-    The fields are the group, the orders d_i of the branch lines and
-    `columns`, one string per coordinate i whose character k has ordinal
-    alpha_i at index k.  The trivial character (index 0) is the identity;
-    all nonzero structure constants are 1.
+    Built from (group, orders, columns): the group, the orders d_i of the
+    branch lines and one string per coordinate i whose character k has
+    ordinal alpha_i at index k.  The trivial character (index 0) is the
+    identity; all nonzero structure constants are 1.
 
     Derived state, made from the columns on first use: `alphas[k]`, the
     exponent vector of index k; `codes[k]`, that vector packed into one
@@ -51,11 +54,6 @@ class FiberRing(_Frozen):
     columns and the degrees, never `alphas`."""
 
     _fields = ("group", "orders", "columns")
-
-    def __init__(self, group: AbelianGroup, orders: tuple[int, ...], columns: tuple[str, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "columns", columns)
 
     @cached_property
     def alphas(self) -> tuple[tuple[int, ...], ...]:
@@ -298,16 +296,14 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
 
 
 class HilbertNumerator(_Frozen):
-    """q_d = number of basis monomials w_chi of total degree d.
+    """q_d = number of basis monomials w_chi of total degree d, kept at
+    index d of the one field, `coefficients`.
 
     The generating polynomial of the invariant ring over its polynomial
     subring; palindromic coefficients are the graded signature of the
     Gorenstein property (Stanley's symmetry criterion)."""
 
     __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def palindromic(self) -> bool:
@@ -351,7 +347,7 @@ def _exponents_up_to(s: int, max_degree: int):
 
 def invariant_monomials_up_to_degree(
     data: CombinatorialData,
-    max_degree: int = 12,
+    max_degree: int = DEFAULT_HILBERT_DEGREE,
     *,
     presentation: SumMapPresentation,
 ) -> list[tuple[int, ...]]:

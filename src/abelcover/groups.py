@@ -126,14 +126,23 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
 class _Frozen:
     """Base of the package's value classes.  A subclass lists its fields in
-    `_fields`, keeps them in `__slots__` and sets them once in `__init__`
-    through object.__setattr__; afterwards assignment raises AttributeError.
-    Instances compare and hash by their field values, only against the same
-    class, and print as Name(field=value, ...).  Copies and pickles are
-    rebuilt through __init__, which takes the fields in `_fields` order."""
+    `_fields` and keeps them in `__slots__`.  The constructor takes the
+    fields by position in `_fields` order and sets each once through
+    object.__setattr__; afterwards assignment raises AttributeError.  A
+    subclass that checks or normalises its input overrides it with the same
+    signature.  Instances compare and hash by their field values, only
+    against the same class, and print as Name(field=value, ...).  Copies and
+    pickles are rebuilt through __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self._fields)} values "
+                            f"({', '.join(self._fields)}), got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -299,13 +308,6 @@ class Character(_Frozen):
             raise ValueError("characters of different groups")
         return Character(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
 
-    def inverse(self) -> "Character":
-        return Character(self.group, tuple(-r for r in self.residues))
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(r == 0 for r in self.residues)
-
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
 
@@ -328,9 +330,7 @@ class Hom(_Frozen):
                 raise ValueError(f"image {j} lies in a different group")
             if not (source.moduli[j] * img).is_identity:
                 raise ValueError(f"not a homomorphism: {source.moduli[j]} * {img} != 0")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
+        super().__init__(source, target, images)
 
     def __call__(self, e: Element) -> Element:
         if e.group != self.source:

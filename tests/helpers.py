@@ -292,7 +292,8 @@ def random_data(
                     continue
                 a = rng.choice([x for x in range(1, d) if gcd(x, d) == 1])
                 datum = BranchDatum(g, a)
-                key = datum.pair_key()
+                c = datum.canonical()
+                key = (c.generator.residues, c.char_residue)
                 if key not in keys:
                     keys.add(key)
                     branch.append(datum)

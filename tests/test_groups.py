@@ -485,6 +485,19 @@ class TestValueClasses:
         assert repr(a) == repr(b)
         assert repr(a).startswith(f"{name}(") and f"{field}=" in repr(a)
 
+    @pytest.mark.parametrize("name", [
+        "ClassificationReport", "ExampleEntry", "FiberRing", "GorensteinChecks",
+        "HilbertNumerator", "KernelDescription", "SumMapPresentation", "ValidationIssue"])
+    def test_record_arity(self, name):
+        make, _ = VALUE_CLASSES[name]
+        value = make(0)
+        cls, values = type(value), value._values()
+        assert cls(*values) == value
+        with pytest.raises(TypeError, match=rf"^{name} takes {len(values)} values"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=rf"^{name} takes {len(values)} values"):
+            cls(*values, None)
+
     def test_elements_are_not_characters(self):
         G = AbelianGroup((2, 4))
         assert G.element((1, 3)) != G.character((1, 3))
