@@ -29,7 +29,7 @@ from .fiber import (
     invariant_monomials_up_to_degree,
     socle_basis,
 )
-from .classify import ClassificationReport, CrossCheckError, classify
+from .classify import ClassificationReport, CrossCheckError, GorensteinChecks, classify
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -131,30 +131,20 @@ def print_document(doc: CombinatorialData) -> str:
 
 
 def report_to_json_dict(report: ClassificationReport) -> dict:
-    kernel = {
-        "order": report.kernel.order,
-        "generators": [list(g.residues) for g in report.kernel.generators],
-        "min_support": report.kernel.min_support,
+    """The JSON report: one key per field of ClassificationReport, in order,
+    and one per field of GorensteinChecks under "cross_checks"."""
+    out = {name: getattr(report, name) for name in ClassificationReport._fields}
+    kernel = report.kernel
+    out["kernel"] = {
+        "order": kernel.order,
+        "generators": [list(g.residues) for g in kernel.generators],
+        "min_support": kernel.min_support,
     }
-    checks = {
-        "lift": report.cross_checks.lift,
-        "watanabe": report.cross_checks.watanabe,
-        "socle": report.cross_checks.socle,
-        "hilbert_palindromic": report.cross_checks.hilbert_palindromic,
-    }
-    return {
-        "locally_simple": report.locally_simple,
-        "totally_ramified": report.totally_ramified,
-        "etale_index": report.etale_index,
-        "kernel": kernel,
-        "gorenstein": report.gorenstein,
-        "certificate": list(report.certificate.residues) if report.certificate else None,
-        "cross_checks": checks,
-        "lci": report.lci,
-        "lci_reason": report.lci_reason,
-        "smooth": report.smooth,
-        "assumptions": list(report.assumptions),
-    }
+    out["certificate"] = list(report.certificate.residues) if report.certificate else None
+    out["cross_checks"] = {
+        name: getattr(report.cross_checks, name) for name in GorensteinChecks._fields}
+    out["assumptions"] = list(report.assumptions)
+    return out
 
 
 def _yesno(value) -> str:
@@ -227,17 +217,14 @@ def _crt(a1: int, m1: int, a2: int, m2: int) -> int:
     return (a1 + m1 * t) % l
 
 
-def _build_z2cubed(p: dict) -> CombinatorialData:
-    return CombinatorialData.from_residues((2, 2, 2), [
+def _z2cubed(p: dict) -> tuple[CombinatorialData, dict]:
+    doc = CombinatorialData.from_residues((2, 2, 2), [
         ((1, 0, 0), 1),
         ((0, 1, 0), 1),
         ((0, 0, 1), 1),
         ((1, 1, 1), 1),
     ])
-
-
-def _expected_z2cubed(p: dict) -> dict:
-    return {
+    return doc, {
         "locally_simple": False,
         "totally_ramified": True,
         "etale_index": 1,
@@ -251,29 +238,17 @@ def _expected_z2cubed(p: dict) -> dict:
     }
 
 
-def _check_zpqr(p: dict) -> None:
-    pp, q, r = p["p"], p["q"], p["r"]
+def _zpqr(p: dict) -> tuple[CombinatorialData, dict]:
+    pp, q, r, alpha, beta = p["p"], p["q"], p["r"], p["alpha"], p["beta"]
     if not (_is_prime(pp) and _is_prime(q) and _is_prime(r) and pp < q < r):
         raise RegistryError(
             f"zpqr needs primes p < q < r <= {EXAMPLE_MAX_PRIME}, got {pp}, {q}, {r}")
-    if gcd(p["alpha"], pp * r) != 1:
-        raise RegistryError(f"alpha = {p['alpha']} must be coprime to p*r = {pp * r}")
-    if gcd(p["beta"], pp * q) != 1:
-        raise RegistryError(f"beta = {p['beta']} must be coprime to p*q = {pp * q}")
-
-
-def _build_zpqr(p: dict) -> CombinatorialData:
-    _check_zpqr(p)
-    pp, q, r = p["p"], p["q"], p["r"]
-    return CombinatorialData.from_residues((pp * q * r,), [
-        ((q,), p["alpha"]),
-        ((r,), p["beta"]),
-    ])
-
-
-def _expected_zpqr(p: dict) -> dict:
-    pp, q, r = p["p"], p["q"], p["r"]
-    gorenstein = (p["alpha"] - p["beta"]) % pp == 0
+    if gcd(alpha, pp * r) != 1:
+        raise RegistryError(f"alpha = {alpha} must be coprime to p*r = {pp * r}")
+    if gcd(beta, pp * q) != 1:
+        raise RegistryError(f"beta = {beta} must be coprime to p*q = {pp * q}")
+    doc = CombinatorialData.from_residues((pp * q * r,), [((q,), alpha), ((r,), beta)])
+    gorenstein = (alpha - beta) % pp == 0
     expected = {
         "locally_simple": False,
         "totally_ramified": True,
@@ -284,85 +259,59 @@ def _expected_zpqr(p: dict) -> dict:
         "smooth": "NotSmooth",
     }
     if gorenstein:
-        expected["certificate"] = [_crt(p["alpha"] % (pp * r), pp * r,
-                                        p["beta"] % (pp * q), pp * q)]
-    return expected
+        expected["certificate"] = [_crt(alpha % (pp * r), pp * r, beta % (pp * q), pp * q)]
+    return doc, expected
 
 
-def _check_zpn(p: dict) -> None:
-    if not _is_prime(p["p"]):
-        raise RegistryError(f"p = {p['p']} must be a prime <= {EXAMPLE_MAX_PRIME}")
-    # p >= 2, so the first test bounds n before p^n is formed.
-    bits = EXAMPLE_MAX_MODULUS_BITS
-    if not 1 <= p["n"] <= bits or (p["p"] ** p["n"]).bit_length() > bits:
-        raise RegistryError(f"n must be >= 1 with p^n of at most {bits} bits, got n = {p['n']}")
-    if not 1 <= p["s"] <= p["n"]:
-        raise RegistryError(f"s must lie in [1, n] = [1, {p['n']}]")
-    if gcd(p["c"], p["p"]) != 1:
-        raise RegistryError(f"c = {p['c']} must be coprime to p = {p['p']}")
-
-
-def _build_zpn_chain(p: dict) -> CombinatorialData:
+def _zpn_chain(p: dict) -> tuple[CombinatorialData, dict]:
     """Chain data on the cyclic group of order p^n: the s subgroups of orders
     p^(n-s+1) < ... < p^n with characters all restricted from one generator
     of the dual, the canonical Gorenstein configuration."""
-    _check_zpn(p)
     pp, n, s, c = p["p"], p["n"], p["s"], p["c"]
-    return CombinatorialData.from_residues(
+    if not _is_prime(pp):
+        raise RegistryError(f"p = {pp} must be a prime <= {EXAMPLE_MAX_PRIME}")
+    # p >= 2, so the first test bounds n before p^n is formed.
+    bits = EXAMPLE_MAX_MODULUS_BITS
+    if not 1 <= n <= bits or (pp ** n).bit_length() > bits:
+        raise RegistryError(f"n must be >= 1 with p^n of at most {bits} bits, got n = {n}")
+    if not 1 <= s <= n:
+        raise RegistryError(f"s must lie in [1, n] = [1, {n}]")
+    if gcd(c, pp) != 1:
+        raise RegistryError(f"c = {c} must be coprime to p = {pp}")
+    doc = CombinatorialData.from_residues(
         (pp ** n,), [((pp ** (n - k),), c) for k in range(n - s + 1, n + 1)])
-
-
-def _expected_zpn_chain(p: dict) -> dict:
-    pp, n, s = p["p"], p["n"], p["s"]
-    orders = [pp ** (n - s + i) for i in range(1, s + 1)]
-    kernel_order = 1
-    for d in orders:
-        kernel_order *= d
-    kernel_order //= pp ** n
-    expected = {
+    lci, lci_reason = {1: ("LCI", "locally-simple"), 2: ("LCI", "A-type-surface")}.get(
+        s, ("Unknown", "open-general-case"))
+    return doc, {
         "locally_simple": s == 1,
         "totally_ramified": True,
         "etale_index": 1,
-        "kernel.order": kernel_order,
+        # |K| = prod d_i / p^n, the d_i being p^k for k in (n - s, n].
+        "kernel.order": pp ** ((s - 1) * (2 * n - s) // 2),
         "gorenstein": True,
+        "lci": lci,
+        "lci_reason": lci_reason,
         "smooth": "Smooth-conditional" if s == 1 else "NotSmooth",
     }
-    if s == 1:
-        expected["lci"] = "LCI"
-        expected["lci_reason"] = "locally-simple"
-    elif s == 2:
-        expected["lci"] = "LCI"
-        expected["lci_reason"] = "A-type-surface"
-    else:
-        expected["lci"] = "Unknown"
-        expected["lci_reason"] = "open-general-case"
-    return expected
 
 
-def _check_elementary(p: dict) -> None:
-    if not _is_prime(p["p"]):
-        raise RegistryError(f"p = {p['p']} must be a prime <= {EXAMPLE_MAX_PRIME}")
-    if not 1 <= p["n"] <= EXAMPLE_MAX_RANK:
-        raise RegistryError(f"n must lie in [1, {EXAMPLE_MAX_RANK}], got {p['n']}")
-
-
-def _build_elementary(p: dict) -> CombinatorialData:
+def _elementary(p: dict) -> tuple[CombinatorialData, dict]:
     """The locally simple configuration on (Z/p)^n: the n coordinate
     subgroups, each with character residue 1."""
-    _check_elementary(p)
     pp, n = p["p"], p["n"]
-    return CombinatorialData.from_residues(
+    if not _is_prime(pp):
+        raise RegistryError(f"p = {pp} must be a prime <= {EXAMPLE_MAX_PRIME}")
+    if not 1 <= n <= EXAMPLE_MAX_RANK:
+        raise RegistryError(f"n must lie in [1, {EXAMPLE_MAX_RANK}], got {n}")
+    doc = CombinatorialData.from_residues(
         (pp,) * n, [(tuple(1 if j == i else 0 for j in range(n)), 1) for i in range(n)])
-
-
-def _expected_elementary(p: dict) -> dict:
-    return {
+    return doc, {
         "locally_simple": True,
         "totally_ramified": True,
         "etale_index": 1,
         "kernel.order": 1,
         "gorenstein": True,
-        "certificate": [1] * p["n"],
+        "certificate": [1] * n,
         "lci": "LCI",
         "lci_reason": "locally-simple",
         "smooth": "Smooth-conditional",
@@ -370,11 +319,11 @@ def _expected_elementary(p: dict) -> dict:
 
 
 class ExampleEntry(_Frozen):
-    """A named example, built from (name, summary, defaults, build,
-    expected): its parameter defaults, the document builder and the
-    verdicts it must reach, both called with the merged parameters."""
+    """A named example, built from (name, summary, defaults, make): its
+    parameter defaults and its maker, which checks the merged parameters
+    and returns the document and the verdicts it must reach."""
 
-    __slots__ = _fields = ("name", "summary", "defaults", "build", "expected")
+    __slots__ = _fields = ("name", "summary", "defaults", "make")
 
 
 REGISTRY = {entry.name: entry for entry in (
@@ -382,36 +331,32 @@ REGISTRY = {entry.name: entry for entry in (
         "z2cubed",
         "(Z/2)^3 with four branch lines: Gorenstein but not locally simple, not lci",
         {},
-        _build_z2cubed,
-        _expected_z2cubed,
+        _z2cubed,
     ),
     ExampleEntry(
         "zpqr",
         "Z/pqr surface point: Gorenstein iff alpha = beta (mod p), then an A-type lci",
         {"p": 3, "q": 5, "r": 7, "alpha": 1, "beta": 1},
-        _build_zpqr,
-        _expected_zpqr,
+        _zpqr,
     ),
     ExampleEntry(
         "zpn-chain",
         "Z/p^n with a chain of s subgroups and matching characters: always Gorenstein",
         {"p": 2, "n": 3, "s": 3, "c": 1},
-        _build_zpn_chain,
-        _expected_zpn_chain,
+        _zpn_chain,
     ),
     ExampleEntry(
         "elementary",
         "(Z/p)^n with the n coordinate subgroups: locally simple, smooth point",
         {"p": 2, "n": 3},
-        _build_elementary,
-        _expected_elementary,
+        _elementary,
     ),
 )}
 
 
-def _example(name: str, params: dict | None) -> tuple[ExampleEntry, dict]:
-    """The registry entry of a named example and its parameters: the
-    defaults with the overrides in `params`."""
+def _example(name: str, params: dict | None) -> tuple[CombinatorialData, dict]:
+    """The document of a named example and the verdicts it must reach, with
+    its defaults overridden by `params`."""
     if name not in REGISTRY:
         raise RegistryError(
             f"unknown example '{name}'; known: {', '.join(sorted(REGISTRY))}")
@@ -423,19 +368,17 @@ def _example(name: str, params: dict | None) -> tuple[ExampleEntry, dict]:
                 f"example '{name}' has no parameter '{key}'; "
                 f"known: {', '.join(sorted(entry.defaults)) or 'none'}")
         merged[key] = value
-    return entry, merged
+    return entry.make(merged)
 
 
 def examples_registry(name: str, params: dict | None = None) -> CombinatorialData:
     """The document of a named built-in example, with parameter overrides."""
-    entry, merged = _example(name, params)
-    return entry.build(merged)
+    return _example(name, params)[0]
 
 
 def expected_report(name: str, params: dict | None = None) -> dict:
     """The verdicts a named built-in example must reach."""
-    entry, merged = _example(name, params)
-    return entry.expected(merged)
+    return _example(name, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +498,8 @@ def _lookup(path: str, report: dict):
 
 
 def cmd_example_run(name: str, params: dict) -> tuple[str, int]:
-    data = validate(examples_registry(name, params))
-    expected = expected_report(name, params)
+    doc, expected = _example(name, params)
+    data = validate(doc)
     report = report_to_json_dict(classify(data))
     lines = [f"example {name}:"]
     failures = 0
@@ -611,8 +554,17 @@ def _read_document(path: str) -> CombinatorialData:
         raise DocumentError(path, str(exc)) from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits EXIT_INVALID on a malformed command line, as on any other bad
+    input; its subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="abelcover",
         description="Classify the local structure of a finite abelian cover "
                     "at a branch point from its combinatorial data.",

@@ -35,14 +35,6 @@ class BranchDatum(_Frozen):
         object.__setattr__(self, "char_residue", int(char_residue) % order)
         object.__setattr__(self, "order", order)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.char_residue, self.generator) == (other.char_residue, other.generator)
-
-    def __hash__(self) -> int:
-        return hash((self.generator, self.char_residue))
-
     def canonical(self) -> "BranchDatum":
         """The same pair (H, psi) written against the canonical generator of H:
         the order-d element of H with lexicographically smallest residues.

@@ -61,12 +61,13 @@ class FiberRing(_Frozen):
         return tuple(zip(*[map(ord, column) for column in self.columns])) or ((),) * self.dimension
 
     @cached_property
-    def _degrees(self) -> memoryview:
-        """Each column read as one integer with a 32-bit field per index
-        (native-order UTF-32, whose surrogate code points pass through), so
-        that the sum of the columns holds every total degree in its field,
-        read back as unsigned ints.  No field carries: build_fiber_ring caps
-        sum(d_i - 1) below 2^32."""
+    def degrees(self) -> memoryview:
+        """Total degree of each basis monomial, by index; summed once per
+        ring.  Each column is read as one integer with a 32-bit field per
+        index (native-order UTF-32, whose surrogate code points pass
+        through), so that the sum of the columns holds every total degree
+        in its field, read back as unsigned ints.  No field carries:
+        build_fiber_ring caps sum(d_i - 1) below 2^32."""
         total = sum(int.from_bytes(column.encode(_UTF32, "surrogatepass"), sys.byteorder)
                     for column in self.columns)
         return memoryview(total.to_bytes(4 * self.dimension, sys.byteorder)).cast("I")
@@ -127,11 +128,6 @@ class FiberRing(_Frozen):
         codes, get = self.codes, self.positions.get
         return [[get(a + b) for b in codes] for a in codes]
 
-    def degrees(self) -> memoryview:
-        """Total degree of each basis monomial, by index; summed once per
-        ring."""
-        return self._degrees
-
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
     """Construct the fiber ring of valid, totally ramified data.
@@ -150,7 +146,7 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     the table values[t:] + values[:t], with values = [0, 1, ..., d_i - 1];
     a zero step repeats the column.  The indices come out in lexicographic
     order.  A character holds exponents up to 0x10FFFF, and the degrees are
-    summed in 32-bit fields (FiberRing._degrees), so a ring past either cap
+    summed in 32-bit fields (FiberRing.degrees), so a ring past either cap
     raises LimitExceeded before any column is built.
 
     alpha is injective exactly when the data is totally ramified: its kernel
@@ -240,7 +236,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     every degree is walked, and either way every socle vector has been
     yielded.
 
-    The degrees are the distinct values of ring.degrees(), and the indices
+    The degrees are the distinct values of ring.degrees, and the indices
     of one degree are found straight in its packed fields: the degree's
     4-byte native-order pattern is searched in the underlying bytes, and
     index k is field k, at byte offset 4k.  A match at an offset that is not
@@ -265,7 +261,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     [(1, 1, 1)]
     """
     n = ring.dimension
-    columns, orders, degrees = ring.columns, ring.orders, ring.degrees()
+    columns, orders, degrees = ring.columns, ring.orders, ring.degrees
     fields = degrees.obj
     at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
@@ -324,7 +320,7 @@ class HilbertNumerator(_Frozen):
 
 def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
     """Degree distribution of the w_chi basis of the fiber ring."""
-    tally = Counter(ring.degrees())
+    tally = Counter(ring.degrees)
     return HilbertNumerator(tuple(tally[degree] for degree in range(max(tally) + 1)))
 
 

@@ -287,8 +287,6 @@ class Character(_Frozen):
 
     __slots__ = _fields = ("group", "residues")
     __init__ = Element.__init__
-    __eq__ = Element.__eq__
-    __hash__ = Element.__hash__
 
     def __call__(self, e: Element) -> int:
         """The value at e as the numerator n in [0, L) of n/L, where

@@ -182,7 +182,7 @@ def test_criterion_6_fiber_ring_axioms():
         elif not ring_axioms_hold(ring):
             failures.append(f"ring axioms failed on {data}")
         else:
-            degs = ring.degrees()
+            degs = ring.degrees
             table = ring.product_table()
             n = ring.dimension
             for i in range(n):

@@ -19,6 +19,7 @@ from abelcover.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     REGISTRY,
+    ExampleEntry,
     RegistryError,
     cmd_classify,
     cmd_example_run,
@@ -108,6 +109,23 @@ class TestParseInput:
     def test_booleans_are_not_integers(self):
         with pytest.raises(DocumentError):
             parse_input('{"group": [true], "branch": []}')
+
+    @pytest.mark.parametrize("text, message", [
+        ('[]', "$: document must be a JSON object"),
+        ('{"group":[2]}', "$: fields 'group' and 'branch' are required"),
+        ('{"group":2,"branch":[]}', "group: must be a list of moduli"),
+        ('{"group":[2],"branch":{}}', "branch: must be a list"),
+        ('{"group":[2],"branch":[1]}', "branch[0]: must be an object"),
+        ('{"group":[2],"branch":[{"generator":[1]}]}',
+         "branch[0]: fields 'generator' and 'character' are required"),
+        ('{"group":[2],"branch":[{"generator":1,"character":1}]}',
+         "branch[0].generator: must be a list of residues"),
+    ], ids=["not-object", "missing-branch", "group-not-list", "branch-not-list",
+            "entry-not-object", "missing-character", "generator-not-list"])
+    def test_shape_errors(self, text, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_round_trip(self):
         for name in REGISTRY:
@@ -204,6 +222,38 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             examples_registry("zpn-chain", {"s": 9})
 
+    @pytest.mark.parametrize("name, params", [
+        ("zpqr", {"p": 4}),
+        ("zpqr", {"alpha": 3}),
+        ("zpqr", {"beta": 3}),
+        ("zpqr", {"r": 1000003}),
+        ("zpn-chain", {"s": 9}),
+        ("zpn-chain", {"p": 4}),
+        ("zpn-chain", {"c": 2}),
+        ("zpn-chain", {"p": 2, "n": 64, "s": 2}),
+        ("elementary", {"p": 4}),
+        ("elementary", {"n": EXAMPLE_MAX_RANK + 1}),
+    ], ids=lambda v: " ".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else v)
+    def test_bad_parameters_refused_by_both_lookups(self, name, params):
+        for lookup in (examples_registry, expected_report):
+            with pytest.raises(RegistryError):
+                lookup(name, params)
+
+    def test_run_reports_a_mismatch(self, monkeypatch):
+        entry = REGISTRY["z2cubed"]
+
+        def make(params):
+            doc, expected = entry.make(params)
+            return doc, dict(expected, **{"kernel.order": 3})
+
+        monkeypatch.setitem(REGISTRY, "z2cubed", ExampleEntry(
+            entry.name, entry.summary, entry.defaults, make))
+        text, code = cmd_example_run("z2cubed", {})
+        assert code == EXIT_INVALID
+        assert "  MISMATCH kernel.order: expected 3, got 2\n" in text
+        assert "  ok       gorenstein = true\n" in text
+        assert text.endswith("result: FAIL (1 mismatches)\n")
+
     def test_run_all_defaults(self):
         for name in REGISTRY:
             text, code = cmd_example_run(name, {})
@@ -280,6 +330,51 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_example_list(self, capsys):
+        assert main(["example", "list"]) == EXIT_OK
+        assert capsys.readouterr() == (
+            "elementary   (Z/p)^n with the n coordinate subgroups: locally simple, smooth point\n"
+            "             parameters: n=3 p=2\n"
+            "z2cubed      (Z/2)^3 with four branch lines: Gorenstein but not locally simple,"
+            " not lci\n"
+            "zpn-chain    Z/p^n with a chain of s subgroups and matching characters:"
+            " always Gorenstein\n"
+            "             parameters: c=1 n=3 p=2 s=3\n"
+            "zpqr         Z/pqr surface point: Gorenstein iff alpha = beta (mod p),"
+            " then an A-type lci\n"
+            "             parameters: alpha=1 beta=1 p=3 q=5 r=7\n", "")
+
+    @pytest.mark.parametrize("args, message", [
+        (["example", "show", "zpqr", "--param", "p"], "--param needs NAME=VALUE, got 'p'"),
+        (["example", "run", "zpqr", "--param", "p=x"], "parameter 'p' needs an integer, got 'x'"),
+    ], ids=["no-equals", "not-an-integer"])
+    def test_param_errors(self, args, message, capsys):
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args, usage, message", [
+        (["classify", "--max-order", "abc"], "usage: abelcover classify ",
+         "abelcover classify: error: argument --max-order: invalid int value: 'abc'"),
+        (["bogus"], "usage: abelcover ",
+         "abelcover: error: argument command: invalid choice: 'bogus'"),
+        (["example", "run"], "usage: abelcover example run ",
+         "abelcover example run: error: the following arguments are required: name"),
+    ], ids=["bad-int", "unknown-command", "missing-name"])
+    def test_usage_errors_exit_invalid(self, args, usage, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+        assert message in captured.err.splitlines()[-1]
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: abelcover ")
 
     def test_syntax_error_exit(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))

@@ -460,7 +460,7 @@ VALUE_CLASSES = {
         lambda v: hilbert_numerator(build_fiber_ring(_zpqr(v))), "coefficients"),
     "GorensteinChecks": (lambda v: GorensteinChecks(True, True, None, v == 0), "lift"),
     "ClassificationReport": (lambda v: classify(_zpqr(v)), "gorenstein"),
-    "ExampleEntry": (lambda v: ExampleEntry("name", "summary", {"p": v}, abs, str), "defaults"),
+    "ExampleEntry": (lambda v: ExampleEntry("name", "summary", {"p": v}, abs), "defaults"),
 }
 
 
