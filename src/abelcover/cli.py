@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import product
 from math import gcd
 
 from .groups import LimitExceeded, _Frozen
@@ -427,17 +428,22 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
     ring = build_fiber_ring(presentation.restricted, order_limit=max_order)
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
-    for chi, alpha in zip(ring.group.characters(), ring.alphas):
-        lines.append(f"  w{chi} : {list(alpha)} : {sum(alpha)}")
+    characters = product(*map(range, ring.group.moduli))
+    for residues, alpha in zip(characters, ring.alphas):
+        lines.append(f"  w({', '.join(map(str, residues))}) : {list(alpha)} : {sum(alpha)}")
     if table:
+        # One label width for the header and every row.
+        n = ring.dimension
+        w = max(4, len(str(n - 1)))
         lines.append("products (row * column, . = zero):")
-        labels = [f"{k:>4}" for k in range(ring.dimension)]
-        lines.append("      " + " ".join(labels))
-        label = dict(enumerate(labels))
-        label[None] = f"{'.':>4}"
-        for i, row in enumerate(ring.product_table()):
-            lines.append(f"  {i:>3} " + " ".join(map(label.__getitem__, row)))
-    return "\n".join(lines) + "\n", EXIT_OK
+        labels = [f"{k:>{w}}" for k in range(n)]
+        lines.append(" " * (w + 2) + " ".join(labels))
+        for i, row in enumerate(ring.product_rows(labels, f"{'.':>{w}}")):
+            lines.append(f"{i:>{w + 1}} " + " ".join(row))
+    # The final newline joins in as an empty line: the table, |G|^2 cells,
+    # is copied once.
+    lines.append("")
+    return "\n".join(lines), EXIT_OK
 
 
 def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:

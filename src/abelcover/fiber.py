@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import accumulate, compress
 from math import comb, lcm
-from operator import mul
+from operator import mul, or_
 
 from . import groups
 from .groups import AbelianGroup, Character, LimitExceeded, _Frozen, _hermite
@@ -34,6 +35,10 @@ DEFAULT_HILBERT_DEGREE = 12
 #: Codec that lays a string out as one native-order 32-bit field per
 #: character.
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+
+#: Turns the binary digits of a bitset into bytes 0 and 1, selectors for
+#: itertools.compress.
+_SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
 class FiberRing(_Frozen):
@@ -122,11 +127,50 @@ class FiberRing(_Frozen):
         idx = self.product_index(self.index(chi), self.index(chi2))
         return None if idx is None else self.character(idx)
 
+    def product_rows(self, names: Iterable, zero) -> Iterator[list]:
+        """The rows of the product table in index order: at row i, column j,
+        the name of product_index(i, j), or `zero` for the zero product.
+        `names` gives one name per basis index.
+
+        w_a * w_b != 0 exactly when alpha_t(a) + alpha_t(b) < d_t for every
+        t, that is, when alpha(b) is dominated by the vector with
+        coordinates d_t - 1 - alpha_t(a).  With below[t][w] the set of
+        indices whose alpha_t is less than w, the nonzero columns of row a
+        are the intersection over t of below[t][d_t - alpha_t(a)]; their
+        products are named through the codes, which add without carry.
+
+        Sets of indices are bitsets, index k at bit n - 1 - k as in
+        socle_basis, so that the binary string of a row's set holds column
+        k at position k.  below[t] is built in one sweep of column t, which
+        puts each index in the bucket of its value, and one cumulative OR of
+        the d_t buckets.  A row costs s whole-ring ANDs, C-level passes over
+        its n columns (the selector bytes, compress, the fill with `zero`),
+        and one add and one lookup per nonzero product."""
+        n = self.dimension
+        top = 1 << n >> 1
+        below = []
+        for column, d in zip(self.columns, self.orders):
+            buckets = [0] * d
+            for k, v in enumerate(map(ord, column)):
+                buckets[v] |= top >> k
+            below.append([0, *accumulate(buckets, or_)])
+        # compress walks a list of the indices, so it makes no new ints.
+        codes, indices = self.codes, list(range(n))
+        label = dict(zip(codes, names))
+        everyone = (1 << n) - 1
+        for code, alpha in zip(codes, self.alphas):
+            mask = everyone
+            for masks, d, a in zip(below, self.orders, alpha):
+                mask &= masks[d - a]
+            row = [zero] * n
+            for j in compress(indices, f"{mask:0{n}b}".encode().translate(_SELECT)):
+                row[j] = label[code + codes[j]]
+            yield row
+
     def product_table(self) -> list[list[int | None]]:
-        """product_index(i, j) at row i, column j: one add and one lookup
-        per cell."""
-        codes, get = self.codes, self.positions.get
-        return [[get(a + b) for b in codes] for a in codes]
+        """product_index(i, j) at row i, column j, built row by row by
+        product_rows: per nonzero product one add and one lookup."""
+        return list(self.product_rows(range(self.dimension), None))
 
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:

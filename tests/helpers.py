@@ -181,6 +181,32 @@ def chain_law_oracle(data: CombinatorialData) -> bool:
     return True
 
 
+def naive_product_table(ring) -> list[list[int | None]]:
+    """ring.product_index at every cell, row by row."""
+    n = ring.dimension
+    return [[ring.product_index(i, j) for j in range(n)] for i in range(n)]
+
+
+def naive_table_text(ring) -> str:
+    """The product table that `fiber --table` prints after the basis,
+    formatted cell by cell from ring.product_index.  Every cell, and every
+    column label, is right-aligned in w = max(4, digits of n - 1)
+    characters and cells are separated by one space; a row starts with
+    its index in w + 1 characters and a space, and the header with w + 2
+    spaces.  A zero product prints as "."."""
+    n = ring.dimension
+    w = max(4, len(str(n - 1)))
+    lines = ["products (row * column, . = zero):",
+             " " * (w + 2) + " ".join(str(j).rjust(w) for j in range(n))]
+    for i in range(n):
+        cells = []
+        for j in range(n):
+            k = ring.product_index(i, j)
+            cells.append(("." if k is None else str(k)).rjust(w))
+        lines.append(str(i).rjust(w + 1) + " " + " ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Fixed example data
 
@@ -256,6 +282,25 @@ def elementary_lines(rng, r, extra):
     others = [e for e in G.elements() if sum(e.residues) > 1]
     lines = coordinate + rng.sample(others, min(extra, len(others)))
     return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
+
+
+def cyclic_lines(rng, N, count):
+    """Z/N with `count` branch lines, each with a random generating
+    character: the first on a random unit, so that the data is totally
+    ramified and one exponent runs up to N - 1, the others on random
+    nonzero elements."""
+    G = AbelianGroup((N,))
+    units = [u for u in range(1, N) if gcd(u, N) == 1]
+    while True:
+        branch = []
+        for g in [rng.choice(units)] + [rng.randrange(1, N) for _ in range(count - 1)]:
+            d = N // gcd(g, N)
+            a = rng.choice([x for x in range(1, d) if gcd(x, d) == 1])
+            branch.append(BranchDatum(G.element((g,)), a))
+        try:
+            return validate(CombinatorialData(G, tuple(branch)))
+        except InvalidCoverData:  # the same subgroup and character twice
+            continue
 
 
 def random_group(rng, max_order=512, max_rank=3) -> AbelianGroup:

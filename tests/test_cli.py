@@ -2,14 +2,16 @@ import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abelcover import validate
+from abelcover import AbelianGroup, CombinatorialData, build_fiber_ring, validate
 from abelcover.cli import (
     DocumentError,
     EXAMPLE_MAX_PRIME,
@@ -33,6 +35,14 @@ from abelcover.cli import (
     main,
     parse_input,
     print_document,
+)
+from helpers import (
+    cyclic_lines,
+    elementary_lines,
+    naive_product_table,
+    naive_table_text,
+    random_total_data,
+    z2cubed_data,
 )
 
 Z2CUBED_TEXT = json.dumps({
@@ -168,11 +178,35 @@ class TestCommands:
             "invalid cover data: branch[0]: NonGeneratingCharacter: gcd(2, 4) != 1,"
             " character does not generate the dual\n", "")
 
-    def test_fiber_table(self):
-        text, code = cmd_fiber(parse_input(Z2CUBED_TEXT), table=True)
+    def test_fiber_table_matches_naive(self):
+        rng = random.Random(29)
+        samples = [z2cubed_data(),
+                   validate(CombinatorialData(AbelianGroup(()), ())),
+                   cyclic_lines(rng, 200, 1),
+                   cyclic_lines(rng, 128, 3),
+                   cyclic_lines(rng, 300, 2)]
+        samples += [random_total_data(rng, max_order=144) for _ in range(10)]
+        for data in samples:
+            assert_table_matches_naive(data)
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_fiber_table_matches_naive_random(self, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            data = cyclic_lines(rng, rng.randint(128, 300), rng.randint(1, 3))
+        else:
+            data = random_total_data(rng, max_order=144)
+        assert_table_matches_naive(data)
+
+    def test_fiber_table_aligned(self):
+        # Rows 1000 and above once printed one column right of the header.
+        data = elementary_lines(random.Random(31), 10, 1)
+        text, code = cmd_fiber(data, table=True)
         assert code == EXIT_OK
-        assert "fiber ring dimension: 8" in text
-        assert "products" in text
+        table = text[text.index("products (row * column, . = zero):\n"):].splitlines()[1:]
+        assert len(table) == 1025
+        assert {len(line) for line in table} == {len(table[0])}
 
     def test_fiber_limit(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(Z2CUBED_TEXT))
@@ -198,6 +232,24 @@ class TestCommands:
         assert code == EXIT_OK
         assert "etale index: 5" in text
         assert "restricted group: Z/21" in text
+
+
+def assert_table_matches_naive(data):
+    """fiber --table prints the plain fiber listing and then the product
+    table, which matches its cell-by-cell formatting; product_table()
+    matches product_index cell by cell."""
+    ring = build_fiber_ring(data)
+    text, code = cmd_fiber(data, table=True)
+    assert code == EXIT_OK
+    # The first differing line or row, not a diff of the whole table.
+    got, want = text.splitlines(), (cmd_fiber(data)[0] + naive_table_text(ring)).splitlines()
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert bad is None, f"{data}: line {bad}: {got[bad]!r}, expected {want[bad]!r}"
+    assert len(got) == len(want) and text.endswith("\n")
+    got, want = ring.product_table(), naive_product_table(ring)
+    bad = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert bad is None, f"{data}: row {bad}: {got[bad]}, expected {want[bad]}"
+    assert len(got) == len(want)
 
 
 class TestRegistry:
