@@ -4,7 +4,6 @@ presentation of the sum map that carries its kernel and the totally-ramified
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd, prod
 
 from . import groups
@@ -13,7 +12,9 @@ from .groups import (
     Element,
     Hom,
     _Frozen,
+    _fold_pivots,
     _hermite,
+    _hermite_fold,
     closure,
     smith_normal_form,
 )
@@ -245,8 +246,7 @@ class KernelDescription(_Frozen):
 
     min_support is the least number of nonzero coordinates over the nonzero
     elements of K.  It is exact when given; it is None when K is trivial or
-    when its search (subset probes plus enumerated kernel elements) would
-    pass the work bound.
+    when its search would pass the work bound (see kernel_K).
     """
 
     __slots__ = _fields = ("generators", "order", "min_support")
@@ -254,39 +254,67 @@ class KernelDescription(_Frozen):
 
 def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> KernelDescription:
     """K as presented, with its exact minimal support when the search for it
-    fits in DEFAULT_ENUMERATION_LIMIT units of work.
+    fits in DEFAULT_ENUMERATION_LIMIT subset probes.
 
     The kernel elements supported in a coordinate set T form the kernel of
     the sum map of the lines in T, of order prod_{i in T} d_i / |sum H_i|.
     No support is 1 (d_i * g_i is the first multiple of g_i that vanishes),
     and the support of K itself is at most s, so the minimal support is the
-    least |T| < s with prod_{i in T} d_i > |sum_{i in T} H_i|, else s.  Each
-    probe costs one Hermite basis of the H_i in G.  A minimum-weight kernel
-    element is hard to find in general, so the work is bounded: the kernel
-    is enumerated instead when it has fewer elements than there are subsets
-    to probe, and the answer is None once probes or elements would pass the
-    bound."""
+    least |T| < s with prod_{i in T} d_i > |sum_{i in T} H_i|, else s.
+
+    For each size 2, ..., s - 1 the subsets T come in lexicographic order
+    from one depth-first walk, which extends its prefix's Hermite basis by
+    one line per step (_hermite_fold).  A probe is one leaf: the pivot
+    product of the last line against its prefix's basis (_fold_pivots),
+    which gives |sum H_T| = |G| / pivots.  A minimum-weight kernel element
+    is hard to find in general, so the probes are bounded, and the answer
+    is None once they would pass the bound.  When K has fewer elements
+    than there are subsets to probe, the walk gets |K| probes, and K is
+    enumerated only if they do not decide."""
     gens, order = presentation.kernel_gens, presentation.kernel_order
     s, orders = data.size, data.orders
     limit = groups.DEFAULT_ENUMERATION_LIMIT
     if order == 1:
         return KernelDescription(gens, order, None)
     probes = 2**s - 2 - s  # subsets T with 2 <= |T| < s
-    if order <= min(probes, limit):
+    enumerate_after = order <= min(probes, limit)
+    support = _probe_supports(data, order if enumerate_after else limit)
+    if support is None and enumerate_after:
         elements = closure(orders, (g.residues for g in gens))
         support = min(sum(1 for x in t if x) for t in elements if any(t))
-        return KernelDescription(gens, order, support)
+    return KernelDescription(gens, order, support)
+
+
+def _probe_supports(data: CombinatorialData, budget: int) -> int | None:
+    """The minimal support of the kernel of the sum map of `data`, by the
+    subset probes of kernel_K, or None if `budget` probes do not decide."""
+    s, orders = data.size, data.orders
+    if s < 3:
+        return s
     moduli, group_order = data.group.moduli, data.group.order
     lines = [datum.generator.residues for datum in data.branch]
+    diagonal = _hermite(moduli, ())
     spent = 0
     for size in range(2, s):
-        for subset in combinations(range(s), size):
-            if spent == limit:
-                return KernelDescription(gens, order, None)
-            spent += 1
-            basis = _hermite(moduli, [lines[i] for i in subset])
-            pivots = prod(row[k] for k, row in enumerate(basis))
-            # |K_T| > 1 iff prod d_T > |sum H_T| = |G| / pivots.
-            if prod(orders[i] for i in subset) * pivots > group_order:
-                return KernelDescription(gens, order, size)
-    return KernelDescription(gens, order, s)
+        for start, basis, prefix_order in _prefixes(moduli, lines, orders, size - 1, 0, diagonal, 1):
+            for i in range(start, s):
+                if spent == budget:
+                    return None
+                spent += 1
+                # |K_T| > 1 iff prod d_T > |sum H_T| = |G| / pivots.
+                if prefix_order * orders[i] * _fold_pivots(moduli, basis, lines[i]) > group_order:
+                    return size
+    return s
+
+
+def _prefixes(moduli, lines, orders, length, start, basis, prefix_order):
+    """Each subset of `length` more lines from lines[start:] that leaves a
+    later line to probe, depth first in lexicographic order, as (the first
+    index after it, the Hermite basis with its lines folded in, the product
+    of their orders)."""
+    if not length:
+        yield start, basis, prefix_order
+        return
+    for i in range(start, len(lines) - length):
+        yield from _prefixes(moduli, lines, orders, length - 1, i + 1,
+                             _hermite_fold(moduli, basis, lines[i]), prefix_order * orders[i])

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm, prod
 
-#: Cap on the work of the exact minimal-support search of a kernel (subset
-#: probes plus kernel elements enumerated) and on the exponent vectors that
+#: Cap on the subset probes of the exact minimal-support search of a kernel,
+#: on the elements that `closure` enumerates and on the exponent vectors that
 #: the invariant-monomial listing walks.
 DEFAULT_ENUMERATION_LIMIT = 10**6
 
@@ -380,31 +380,61 @@ def _hermite(moduli: tuple[int, ...], vectors) -> list[list[int]]:
     the vectors generate in Z/m_1 + ... + Z/m_r has order
     prod(m) / prod(pivots).
 
-    Column k starts from m_k e_k and folds in every remaining vector by a
-    unimodular 2x2 step on (pivot, entry), which leaves the vector zero in
-    column k.  Each step keeps the spanned lattice, and m_k e_k is one of
-    its generators, so (m_k / p_k) * row, the element that a Howell form
-    over Z/m must add, is already spanned by the vectors left for the later
-    columns."""
-    r = len(moduli)
-    work = [[x % m for x, m in zip(v, moduli)] for v in vectors]
-    rows = []
-    for k, m in enumerate(moduli):
-        h = [0] * r
-        h[k] = m
-        rest = []
-        for v in work:
-            if v[k]:
-                g, x, y = _xgcd(h[k], v[k])
-                a, b = h[k] // g, v[k] // g
-                h, v = (
-                    [(x * p + y * q) % mj for p, q, mj in zip(h, v, moduli)],
-                    [(a * q - b * p) % mj for p, q, mj in zip(h, v, moduli)],
-                )
-            rest.append(v)
-        rows.append(h)
-        work = [v for v in rest if any(v)]
+    The rows start as diag(moduli), and each vector, reduced mod the
+    moduli, is folded in by _hermite_fold.  Since m_k e_k stays in the
+    lattice, (m_k / p_k) * row, the element that a Howell form over Z/m
+    must add, is spanned by the rows past k, so the pivots give the
+    subgroup order."""
+    rows = [[m if j == k else 0 for j in range(len(moduli))] for k, m in enumerate(moduli)]
+    for v in vectors:
+        rows = _hermite_fold(moduli, rows, [x % m for x, m in zip(v, moduli)])
     return rows
+
+
+def _hermite_fold(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) -> list[list[int]]:
+    """The basis that _hermite gives for the lattice of `rows` plus `v`.
+    `rows` is a triangular basis, as _hermite returns, of a lattice that
+    contains diag(moduli), and `v` is reduced mod the moduli.  Neither is
+    changed: the new basis shares the rows it does not replace.
+
+    Column k folds v into row k by a unimodular 2x2 step on (pivot p,
+    entry q): with g = gcd(p, q) = x*p + y*q, the row becomes x*row + y*v
+    and v becomes (p/g)*v - (q/g)*row, which is zero in column k and, like
+    the row, zero before it.  The step keeps the span of the rows and v.
+    Reducing each entry j > k mod m_j keeps it too: the rows past column k
+    are still untouched, and as a triangular basis of a lattice containing
+    diag(moduli) they span that lattice's part past column k, m_j e_j
+    included.  The new pivot g divides p, so it divides m_k, and it is
+    below m_k since 0 < q < m_k, so the reduction leaves it alone.  After
+    the last column v is zero, and the rows are a triangular basis of the
+    larger lattice."""
+    rows = list(rows)
+    for k, h in enumerate(rows):
+        if v[k]:
+            g, x, y = _xgcd(h[k], v[k])
+            a, b = h[k] // g, v[k] // g
+            rows[k], v = (
+                [(x * p + y * q) % m for p, q, m in zip(h, v, moduli)],
+                [(a * q - b * p) % m for p, q, m in zip(h, v, moduli)],
+            )
+    return rows
+
+
+def _fold_pivots(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) -> int:
+    """The product of the pivots of _hermite_fold(moduli, rows, v), without
+    building the basis.  Column k's new pivot is gcd(p, q), and v's update
+    (p/g)*v - (q/g)*row needs only the old row, so no Bezout coefficients
+    and no new row are computed."""
+    total = 1
+    for k, row in enumerate(rows):
+        p, q = row[k], v[k]
+        if q:
+            g = gcd(p, q)
+            a, b = p // g, q // g
+            v = [(a * y - b * x) % m for x, y, m in zip(row, v, moduli)]
+            p = g
+        total *= p
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,18 @@ class TestClassify:
         assert report.cross_checks.socle is None
         assert elapsed < 1.0, f"classify took {elapsed:.3f} s"
 
+    def test_wide_kernel_probes_before_enumerating(self):
+        # (Z/2)^12 with 30 lines: |K| = 2^18 is below the 2^30 - 32 subsets,
+        # so K is enumerated only if |K| probes do not decide.  The walk
+        # decides at 12271 probes; enumerating K would visit 262144
+        # elements.
+        data = elementary_lines(random.Random(61), 12, 18)
+        start = perf_counter()
+        report = classify(data)
+        elapsed = perf_counter() - start
+        assert report.kernel.order == 2**18 and report.kernel.min_support == 4
+        assert elapsed < 2.0, f"classify took {elapsed:.3f} s"
+
     def test_fiber_routes_skipped_over_limit(self):
         report = classify(z2cubed_data(), fiber_order_limit=4)
         assert report.cross_checks.socle is None

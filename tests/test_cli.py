@@ -588,7 +588,9 @@ class TestGolden:
     5), a totally ramified point over the fiber bound ((Z/2)^13 with the
     coordinate lines and the diagonal) and one whose exponents pass 255
     (Z/8 + Z/9 + Z/7 with lines of orders 504, 504, 168 and 252; plain
-    `fiber`, since its table would have 254016 cells).  The captures are
+    `fiber`, since its table would have 254016 cells) and one whose kernel
+    is large but whose minimal support is small ((Z/2)^12 with 30 lines,
+    |K| = 2^18; `classify --json` only).  The captures are
     the behaviour contract of the text and JSON reports; they are never
     regenerated to follow a code change."""
 

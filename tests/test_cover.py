@@ -16,6 +16,7 @@ from abelcover import (
     sum_map,
     validate,
 )
+import abelcover.cover
 import abelcover.groups
 from abelcover.classify import gorenstein_lift
 from abelcover.groups import closure
@@ -201,6 +202,31 @@ class TestKernelK:
         pres = ramification_factorization(data)
         gens = [g.residues for g in pres.kernel_gens]
         assert kernel_K(data, pres).min_support == brute_min_support(data.orders, gens)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_walk_decides_without_enumeration(self, seed):
+        # |K| > 2^s - 2 - s, so only the subset walk runs: (Z/5)^2 with 5
+        # lines has |K| = 125 against 25 subsets.
+        rng = random.Random(seed)
+        while True:
+            group = AbelianGroup(rng.choice(
+                ((5, 5), (7, 7), (4, 4), (6, 6), (9, 3), (5, 5, 5), (4, 4, 4))))
+            try:
+                data = random_data(rng, group, min_branch=3, max_branch=6, max_H=10**5)
+            except RuntimeError:
+                continue
+            pres = ramification_factorization(data)
+            if pres.kernel_order > 2**data.size - 2 - data.size:
+                break
+        gens = [g.residues for g in pres.kernel_gens]
+
+        def no_enumeration(*args):
+            raise AssertionError("kernel_K enumerated K")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(abelcover.cover, "closure", no_enumeration)
+            got = kernel_K(data, pres).min_support
+        assert got == brute_min_support(data.orders, gens)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_budget_near_the_switch(self, seed):

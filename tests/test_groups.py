@@ -29,7 +29,7 @@ from abelcover import (
 )
 import abelcover.groups
 from abelcover.cli import EXIT_INTERNAL, ExampleEntry, main, parse_input
-from abelcover.groups import _hermite, closure
+from abelcover.groups import _fold_pivots, _hermite, _hermite_fold, closure
 from helpers import (
     assert_snf_contract,
     brute_character_solutions,
@@ -203,8 +203,9 @@ class TestKernelAndImage:
 class TestHermite:
     """The Hermite basis behind subgroup orders and the lex-least reduction."""
 
-    def check(self, moduli, vectors):
-        rows = _hermite(moduli, vectors)
+    def check(self, moduli, vectors, rows=None):
+        if rows is None:
+            rows = _hermite(moduli, vectors)
         subgroup = set(closure(moduli, vectors))
         for k, row in enumerate(rows):
             assert not any(row[:k]) and row[k] > 0 and moduli[k] % row[k] == 0
@@ -225,6 +226,26 @@ class TestHermite:
         rng = random.Random(seed)
         self.check(tuple(moduli), [[rng.randrange(-m, 2 * m) for m in moduli]
                                    for _ in range(rng.randint(0, 4))])
+
+    @given(st.data())
+    def test_fold_one_vector_at_a_time(self, data):
+        # Composite moduli make pivots that are proper divisors, the case
+        # where a Howell form would need an extra row.
+        moduli = tuple(data.draw(st.lists(
+            st.integers(min_value=2, max_value=36), min_size=1, max_size=4).filter(
+                lambda ms: prod(ms) <= 4096)))
+        vectors = data.draw(st.lists(
+            st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in moduli)).map(list),
+            max_size=6))
+        rows = _hermite(moduli, [])  # diag(moduli)
+        for t, v in enumerate(vectors):
+            pivots = _fold_pivots(moduli, rows, v)
+            parent, snapshot = rows, [list(row) for row in rows]
+            rows = _hermite_fold(moduli, parent, v)
+            assert parent == snapshot  # a walk folds siblings into one parent
+            assert pivots == prod(row[k] for k, row in enumerate(rows))
+            self.check(moduli, vectors[:t + 1], rows)
+        assert rows == _hermite(moduli, vectors)
 
 
 class TestCharacters:
