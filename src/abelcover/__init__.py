@@ -13,7 +13,6 @@ from .groups import (
     Character,
     DEFAULT_ENUMERATION_LIMIT,
     Element,
-    Hom,
     LimitExceeded,
     smith_normal_form,
     solve_character_congruences,

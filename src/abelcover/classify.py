@@ -157,11 +157,14 @@ def classify(
     Presents the sum map once, runs every decider from that presentation
     (the fiber routes on the totally ramified part, through one fiber ring),
     and asserts that all computed Gorenstein routes agree before reporting.
-    The lift solves its own congruences on the ambient group, so it stays an
-    independent check on the presentation; its certificate is a character
-    of the original ambient group.  The solver confirms a lift it finds but
-    not the absence of one: a missed lift shows up here, as a disagreement
-    with the other routes.  When build_fiber_ring refuses the ring
+    The lift solves its own congruences on the ambient group.  It shares
+    the Hermite fold with the presentation, but on another lattice (the
+    graph of its constraints in (Z/L)^k + G, not the graph of nu in G + H),
+    and reads nothing of the presentation, so it stays an independent check
+    on it; its certificate is a character of the original ambient group.
+    The fiber routes read only the ring.  The solver confirms a lift it
+    finds but not the absence of one: a missed lift shows up here, as a
+    disagreement with the other routes.  When build_fiber_ring refuses the ring
     (LimitExceeded: over `fiber_order_limit` or past its representation
     caps), the fiber routes are recorded as skipped (None) rather than
     aborting the report; the lift and SL routes always run.

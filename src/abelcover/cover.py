@@ -10,7 +10,6 @@ from . import groups
 from .groups import (
     AbelianGroup,
     Element,
-    Hom,
     _Frozen,
     _fold_pivots,
     _hermite,
@@ -164,19 +163,23 @@ def validate(data: CombinatorialData) -> CombinatorialData:
     return CombinatorialData(data.group, tuple(canonical))
 
 
-def sum_map(data: CombinatorialData) -> Hom:
-    """nu: Z/d_1 + ... + Z/d_s -> G, (t_1, ..., t_s) |-> sum t_i * g_i."""
-    source = AbelianGroup(data.orders)
-    return Hom(source, data.group, tuple(d.generator for d in data.branch))
+def sum_map(data: CombinatorialData) -> list[list[int]]:
+    """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, (t_1, ..., t_s) |-> sum
+    t_i * g_i, as the Hermite basis (_hermite) of its graph lattice in
+    Z^r + Z^s: the span of the (g_i, e_i) and of diag(m_1, ..., m_r, d_1,
+    ..., d_s), with the G coordinates first."""
+    s = data.size
+    graph = [[*datum.generator.residues, *(int(i == j) for j in range(s))]
+             for i, datum in enumerate(data.branch)]
+    return _hermite(data.group.moduli + data.orders, graph)
 
 
 class SumMapPresentation(_Frozen):
     """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, presented once per input.
 
     Its fields (kernel_gens, kernel_order, image_order, etale_index,
-    restricted) all come from one Smith normal form of the relation matrix
-    [g_1 ... g_s | diag(m_1, ..., m_r)], plus one of the relation lattice
-    when nu is not surjective:
+    restricted) all come from the one Hermite basis of sum_map, plus a
+    Smith normal form of its H block when nu is not surjective:
 
     * K = ker(nu): generators (elements of H) and the order |H| / |M|;
     * M = im(nu): its order and the etale index |T| = |G| / |M|;
@@ -195,49 +198,54 @@ class SumMapPresentation(_Frozen):
 def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
     """Present the sum map of `data` and factor the cover through M = im(nu).
 
-    The integer kernel of the relation matrix, cut down to its first s
-    coordinates, is the relation lattice {x in Z^s : sum x_i g_i = 0}; its
-    basis reduced mod the d_i generates K.  The diagonal block gives the
-    matrix full row rank r, so [G : M] is the product of its r invariant
-    factors.  When nu is not surjective, M is presented abstractly through
-    the Smith normal form of the lattice, and each branch generator is
-    transported along the isomorphism Z^s / lattice ~ M.
+    Let Lambda be the graph lattice of sum_map and rows its triangular
+    basis, with positive pivots.  Every vector of Lambda is an integer
+    combination of the rows, and the coefficient of row k is fixed column by
+    column: it is x_k / pivot_k once the rows before k are subtracted.  So
+    the vectors of Lambda that vanish on the first r columns are spanned by
+    rows r, ..., r + s - 1, which vanish there, and the first r rows span
+    the projection of Lambda to Z^r, span(g_i) + diag(m), the preimage of
+    M.  Hence [G : M] is the product of the first r pivots.
+
+    A vector (0, y) lies in Lambda iff y = t + d*b and sum t_i g_i = 0 in G
+    for some integers t and b.  Since d_i g_i = 0, that says sum y_i g_i = 0:
+    the H parts of rows r, ... are a basis of the relation lattice
+    {y in Z^s : sum y_i g_i = 0} = K + dZ^s, and their residues mod d
+    generate K.  A row whose pivot is d_i was never folded (a fold leaves
+    gcd(p, q) < d_i), so it is d_i e_i, zero in H; the other rows are
+    nonzero, and distinct, since their pivots sit in different columns.
+
+    When nu is not surjective, M ~ Z^s / (K + dZ^s) is presented abstractly
+    through the Smith normal form U B V = D of the H block B, whose rows
+    span that lattice.  Right multiplication by V carries it onto the row
+    span of D, so each branch generator e_j moves to row j of V, reduced mod
+    the invariant factors.
     """
-    nu = sum_map(data)
-    s, r = data.size, data.group.rank
-    moduli = data.group.moduli
-    relations = [
-        [img.residues[k] for img in nu.images] + [m if j == k else 0 for j, m in enumerate(moduli)]
-        for k in range(r)
-    ]
-    _, D, V = smith_normal_form(relations)
-    image_order = data.group.order // prod(D[k][k] for k in range(r))
-    etale_index = data.group.order // image_order
-    # Columns r, ..., r + s - 1 of V span the integer kernel of the matrix.
-    lattice = [[V[i][k] for k in range(r, s + r)] for i in range(s)]
-    gens: list[Element] = []
-    for k in range(s):
-        e = nu.source.element([row[k] for row in lattice])
-        if not e.is_identity and e not in gens:
-            gens.append(e)
+    rows = sum_map(data)
+    r, orders = data.group.rank, data.orders
+    etale_index = prod(rows[k][k] for k in range(r))
+    image_order = data.group.order // etale_index
+    block = [row[r:] for row in rows[r:]]
+    source = AbelianGroup(orders)
+    gens = tuple(source.element(y) for i, (y, d) in enumerate(zip(block, orders)) if y[i] < d)
 
     restricted = data
     if etale_index > 1:
-        U2, D2, _ = smith_normal_form(lattice)
-        diag = [D2[i][i] for i in range(s)]
+        _, D, V = smith_normal_form(block)
+        diag = [row[i] for i, row in enumerate(D)]
         if prod(diag) != image_order:
             raise ArithmeticError("image presentation disagrees with image order")
         kept = [i for i, d in enumerate(diag) if d > 1]
         subgroup = AbelianGroup(tuple(diag[i] for i in kept))
         new_branch = []
         for j, datum in enumerate(data.branch):
-            moved = subgroup.element([U2[i][j] % diag[i] for i in kept])
+            moved = subgroup.element([V[j][i] % diag[i] for i in kept])
             if moved.order() != datum.order:
                 raise ArithmeticError("generator order changed under restriction")
             new_branch.append(BranchDatum(moved, datum.char_residue).canonical())
         restricted = CombinatorialData(subgroup, tuple(new_branch))
     return SumMapPresentation(
-        tuple(gens), nu.source.order // image_order, image_order, etale_index, restricted)
+        gens, source.order // image_order, image_order, etale_index, restricted)
 
 
 class KernelDescription(_Frozen):

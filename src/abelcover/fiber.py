@@ -123,10 +123,6 @@ class FiberRing(_Frozen):
         exponent vector of the ring lies."""
         return self.positions.get(self.codes[i] + self.codes[j])
 
-    def product(self, chi: Character, chi2: Character) -> Character | None:
-        idx = self.product_index(self.index(chi), self.index(chi2))
-        return None if idx is None else self.character(idx)
-
     def product_rows(self, names: Iterable, zero) -> Iterator[list]:
         """The rows of the product table in index order: at row i, column j,
         the name of product_index(i, j), or `zero` for the zero product.
@@ -200,8 +196,8 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     of their Hermite basis against the moduli is 1, since the span has order
     prod(m) / prod(pivots) (see _hermite); that costs O(r^2 s), not a
     comparison of n vectors.  The check is a precondition, not a Gorenstein
-    route: classify passes the restriction of its SNF presentation, and the
-    fiber routes read only the ring."""
+    route: classify passes the totally ramified part of its presentation of
+    the sum map, and the fiber routes read only the ring."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")

@@ -3,14 +3,14 @@
 Groups are direct sums of cyclic groups Z/m_1 + ... + Z/m_r kept in the
 decomposition the caller supplies.  Characters take values in Q/Z (an exact
 stand-in for roots of unity), written as integer numerators n/L over the
-group exponent L; homomorphisms are generator-image tables, and the integer
-linear algebra underneath everything is Smith normal form and Hermite bases
-over arbitrary-precision ints.  No floating point anywhere.
+group exponent L.  The integer linear algebra underneath everything is
+Hermite bases reduced mod the moduli, with a Smith normal form only for the
+cyclic decomposition of a proper image, over arbitrary-precision ints.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import gcd, lcm, prod
 
 #: Cap on the subset probes of the exact minimal-support search of a kernel,
@@ -121,7 +121,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
 
 # ---------------------------------------------------------------------------
-# Groups, elements, characters, homomorphisms
+# Groups, elements and characters
 
 
 class _Frozen:
@@ -210,30 +210,17 @@ class AbelianGroup(_Frozen):
     def element(self, residues) -> "Element":
         return Element(self, tuple(residues))
 
-    def identity(self) -> "Element":
-        return Element(self, (0,) * self.rank)
-
     def generators(self) -> tuple["Element", ...]:
         return tuple(
             Element(self, tuple(1 if i == j else 0 for i in range(self.rank)))
             for j in range(self.rank)
         )
 
-    def elements(self):
-        """All elements in lexicographic residue order.  O(|G|), no guard."""
-        for residues in itertools.product(*(range(m) for m in self.moduli)):
-            yield Element(self, residues)
-
     def character(self, residues) -> "Character":
         return Character(self, tuple(residues))
 
     def trivial_character(self) -> "Character":
         return Character(self, (0,) * self.rank)
-
-    def characters(self):
-        """All |G| characters in lexicographic residue order."""
-        for residues in itertools.product(*(range(m) for m in self.moduli)):
-            yield Character(self, residues)
 
     def __str__(self) -> str:
         if not self.moduli:
@@ -268,10 +255,6 @@ class Element(_Frozen):
         return Element(self.group, tuple(k * r for r in self.residues))
 
     __rmul__ = __mul__
-
-    @property
-    def is_identity(self) -> bool:
-        return all(r == 0 for r in self.residues)
 
     def order(self) -> int:
         """Smallest n >= 1 with n*self = 0, via lcm of coordinate orders."""
@@ -308,35 +291,6 @@ class Character(_Frozen):
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
-
-
-class Hom(_Frozen):
-    """Homomorphism between finite abelian groups as a generator-image table.
-
-    Well-definedness (m_j * images[j] = 0 in the target) is checked at
-    construction.
-    """
-
-    __slots__ = _fields = ("source", "target", "images")
-
-    def __init__(self, source: AbelianGroup, target: AbelianGroup, images: tuple[Element, ...]):
-        images = tuple(images)
-        if len(images) != source.rank:
-            raise ValueError("one image per source generator required")
-        for j, img in enumerate(images):
-            if img.group != target:
-                raise ValueError(f"image {j} lies in a different group")
-            if not (source.moduli[j] * img).is_identity:
-                raise ValueError(f"not a homomorphism: {source.moduli[j]} * {img} != 0")
-        super().__init__(source, target, images)
-
-    def __call__(self, e: Element) -> Element:
-        if e.group != self.source:
-            raise ValueError("element of a different group")
-        out = self.target.identity()
-        for x, img in zip(e.residues, self.images):
-            out = out + x * img
-        return out
 
 
 def closure(moduli: tuple[int, ...], generators) -> list[tuple[int, ...]]:
@@ -400,23 +354,29 @@ def _hermite_fold(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) 
     Column k folds v into row k by a unimodular 2x2 step on (pivot p,
     entry q): with g = gcd(p, q) = x*p + y*q, the row becomes x*row + y*v
     and v becomes (p/g)*v - (q/g)*row, which is zero in column k and, like
-    the row, zero before it.  The step keeps the span of the rows and v.
-    Reducing each entry j > k mod m_j keeps it too: the rows past column k
-    are still untouched, and as a triangular basis of a lattice containing
-    diag(moduli) they span that lattice's part past column k, m_j e_j
-    included.  The new pivot g divides p, so it divides m_k, and it is
-    below m_k since 0 < q < m_k, so the reduction leaves it alone.  After
-    the last column v is zero, and the rows are a triangular basis of the
-    larger lattice."""
+    the row, zero before it.  When p divides q the step is (x, y) = (1, 0):
+    the row stays and v loses (q/p)*row.  The step keeps the span of the
+    rows and v.  Reducing each entry j > k mod m_j keeps it too: the rows
+    past column k are still untouched, and as a triangular basis of a
+    lattice containing diag(moduli) they span that lattice's part past
+    column k, m_j e_j included.  The new pivot g divides p, so it divides
+    m_k, and it is below m_k since 0 < q < m_k, so the reduction leaves it
+    alone.  After the last column v is zero, and the rows are a triangular
+    basis of the larger lattice."""
     rows = list(rows)
     for k, h in enumerate(rows):
-        if v[k]:
+        if not v[k]:
+            continue
+        if v[k] % h[k]:
             g, x, y = _xgcd(h[k], v[k])
             a, b = h[k] // g, v[k] // g
             rows[k], v = (
                 [(x * p + y * q) % m for p, q, m in zip(h, v, moduli)],
                 [(a * q - b * p) % m for p, q, m in zip(h, v, moduli)],
             )
+        else:
+            b = v[k] // h[k]
+            v = [(q - b * p) % m for p, q, m in zip(h, v, moduli)]
     return rows
 
 

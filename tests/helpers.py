@@ -8,18 +8,49 @@ in Q/Z are Fractions reduced mod 1, computed from residues."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 from abelcover import (
     AbelianGroup,
     BranchDatum,
+    Character,
     CombinatorialData,
     Element,
-    Hom,
     InvalidCoverData,
     validate,
 )
 from abelcover.groups import closure
+
+
+# ---------------------------------------------------------------------------
+# Group and ring enumeration
+
+
+def identity(group: AbelianGroup) -> Element:
+    return group.element((0,) * group.rank)
+
+
+def is_identity(e: Element) -> bool:
+    return not any(e.residues)
+
+
+def elements_of(group: AbelianGroup):
+    """All elements in lexicographic residue order.  O(|G|), no guard."""
+    for residues in product(*(range(m) for m in group.moduli)):
+        yield group.element(residues)
+
+
+def characters_of(group: AbelianGroup):
+    """All |G| characters in lexicographic residue order."""
+    for residues in product(*(range(m) for m in group.moduli)):
+        yield group.character(residues)
+
+
+def ring_product(ring, chi: Character, chi2: Character) -> Character | None:
+    """w_chi * w_chi2 in the fiber ring, as a character, or None for zero."""
+    idx = ring.product_index(ring.index(chi), ring.index(chi2))
+    return None if idx is None else ring.character(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +106,22 @@ def assert_snf_contract(A, U, D, V):
 # Enumeration oracles
 
 
-def brute_kernel(f: Hom) -> set[tuple[int, ...]]:
-    return {e.residues for e in f.source.elements() if f(e).is_identity}
+def _sum_map_table(data: CombinatorialData):
+    """(t, sum t_i g_i) for every t in H = Z/d_1 + ... + Z/d_s."""
+    gens = [datum.generator.residues for datum in data.branch]
+    for t in product(*(range(d) for d in data.orders)):
+        yield t, tuple(sum(x * g[j] for x, g in zip(t, gens)) % m
+                       for j, m in enumerate(data.group.moduli))
 
 
-def brute_image(f: Hom) -> set[tuple[int, ...]]:
-    return {f(e).residues for e in f.source.elements()}
+def brute_kernel(data: CombinatorialData) -> set[tuple[int, ...]]:
+    """The kernel of the sum map of `data`, by enumerating H."""
+    return {t for t, image in _sum_map_table(data) if not any(image)}
+
+
+def brute_image(data: CombinatorialData) -> set[tuple[int, ...]]:
+    """The image of the sum map of `data`, by enumerating H."""
+    return {image for _, image in _sum_map_table(data)}
 
 
 def character_value(chi, e) -> Fraction:
@@ -92,7 +133,7 @@ def character_value(chi, e) -> Fraction:
 def brute_character_solutions(group: AbelianGroup, constraints) -> list:
     """Every character with chi(g) = a/ord(g) in Q/Z for each (g, a)."""
     out = []
-    for chi in group.characters():
+    for chi in characters_of(group):
         if all(character_value(chi, g) == Fraction(a, g.order()) % 1 for g, a in constraints):
             out.append(chi)
     return out
@@ -139,7 +180,7 @@ def brute_discrete_log(base: Fraction, target: Fraction, order: int) -> int | No
 def brute_element_order(e: Element) -> int:
     acc = e
     n = 1
-    while not acc.is_identity:
+    while not is_identity(acc):
         acc = acc + e
         n += 1
     return n
@@ -279,9 +320,17 @@ def elementary_lines(rng, r, extra):
     nonzero lines (as many as exist, if fewer)."""
     G = AbelianGroup((2,) * r)
     coordinate = list(G.generators())
-    others = [e for e in G.elements() if sum(e.residues) > 1]
+    others = [e for e in elements_of(G) if sum(e.residues) > 1]
     lines = coordinate + rng.sample(others, min(extra, len(others)))
     return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
+
+
+def prime_lines(rng, p, r, count):
+    """(Z/p)^r for a prime p with `count` lines whose generator residues
+    and characters are random nonzero residues mod p."""
+    branch = [([rng.randrange(1, p) for _ in range(r)], rng.randrange(1, p))
+              for _ in range(count)]
+    return validate(CombinatorialData.from_residues((p,) * r, branch))
 
 
 def cyclic_lines(rng, N, count):
@@ -323,7 +372,7 @@ def random_data(
 ) -> CombinatorialData:
     """A random valid data set over `group`, optionally totally ramified.
     |H| = prod d_i is capped so kernel enumeration stays cheap."""
-    nonzero = [e for e in group.elements() if not e.is_identity]
+    nonzero = [e for e in elements_of(group) if not is_identity(e)]
     for _ in range(tries):
         s = rng.randint(min_branch, max_branch)
         branch = []

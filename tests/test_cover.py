@@ -26,6 +26,8 @@ from helpers import (
     brute_kernel,
     brute_min_support,
     exact_det,
+    identity,
+    prime_lines,
     random_data,
     random_group,
     single_datum_z105,
@@ -59,7 +61,7 @@ class TestValidate:
 
     def test_trivial_inertia(self):
         G = AbelianGroup((4,))
-        bad = CombinatorialData(G, (BranchDatum(G.identity(), 1),))
+        bad = CombinatorialData(G, (BranchDatum(identity(G), 1),))
         with pytest.raises(InvalidCoverData) as exc:
             validate(bad)
         assert [i.code for i in exc.value.issues] == ["TrivialInertia"]
@@ -98,7 +100,7 @@ class TestValidate:
         G = AbelianGroup((4,))
         g = G.element((1,))
         bad = CombinatorialData(G, (
-            BranchDatum(G.identity(), 1),
+            BranchDatum(identity(G), 1),
             BranchDatum(g, 2),
             BranchDatum(g, 1),
             BranchDatum(g, 1),
@@ -156,22 +158,39 @@ class TestCanonical:
 
 
 class TestSumMap:
+    """The Hermite basis of the graph lattice of nu in G + H."""
+
     def test_empty(self):
         G = AbelianGroup((2, 2))
-        nu = sum_map(CombinatorialData(G, ()))
-        assert nu.source.order == 1
+        assert sum_map(CombinatorialData(G, ())) == [[2, 0], [0, 2]]
 
     def test_z2cubed(self):
-        data = z2cubed_data()
-        nu = sum_map(data)
-        assert nu.source.moduli == (2, 2, 2, 2)
-        assert [img.residues for img in nu.images] == [
-            (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        # The lines span G, and K + 2Z^4 = {y : y_1 = y_2 = y_3 = y_4 mod 2}.
+        rows = sum_map(z2cubed_data())
+        assert [row[k] for k, row in enumerate(rows[:3])] == [1, 1, 1]
+        assert [row[3:] for row in rows[3:]] == [
+            [1, 1, 1, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
 
     def test_zpqr(self):
-        nu = sum_map(zpqr_data())
-        assert nu.source.moduli == (21, 15)
-        assert [img.residues for img in nu.images] == [(5,), (7,)]
+        # 5 y_1 + 7 y_2 = 0 mod 105 means y = (7a, 5b) with a + b = 0 mod 3.
+        rows = sum_map(zpqr_data())
+        assert rows[0][0] == 1
+        assert [row[1:] for row in rows[1:]] == [[7, 10], [0, 15]]
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_triangular_basis(self, seed):
+        rng = random.Random(seed)
+        data = random_data(rng, random_group(rng, max_order=512), max_branch=4, max_H=5000)
+        moduli = data.group.moduli + data.orders
+        rows = sum_map(data)
+        assert len(rows) == len(moduli)
+        for k, (row, m) in enumerate(zip(rows, moduli)):
+            assert not any(row[:k])
+            assert 0 < row[k] <= m and m % row[k] == 0
+            assert all(0 <= x < m for x, m in zip(row[k + 1:], moduli[k + 1:]))
+        r = data.group.rank
+        assert prod(row[k] for k, row in enumerate(rows[:r])) == (
+            data.group.order // len(brute_image(data)))
 
 
 class TestKernelK:
@@ -271,7 +290,7 @@ class TestKernelK:
         lines = {}
         while len(lines) < count:
             g = G.element([rng.randrange(5) for _ in range(3)])
-            if not g.is_identity:
+            if any(g.residues):
                 lines.setdefault(min((u * g).residues for u in range(1, 5)), g)
         data = validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines.values())))
         start = perf_counter()
@@ -317,7 +336,7 @@ class TestLocallySimple:
         for _ in range(30):
             data = random_data(rng, random_group(rng, max_order=256), max_branch=4)
             simple = kernel_of(data).order == 1
-            assert simple == (len(brute_image(sum_map(data))) == prod(data.orders))
+            assert simple == (len(brute_image(data)) == prod(data.orders))
 
 
 class TestRamificationFactorization:
@@ -344,6 +363,32 @@ class TestRamificationFactorization:
         assert fact.image_order == 8 and fact.etale_index == 2
         assert sorted(fact.restricted.group.moduli) == [2, 4]
         assert sorted(d.order for d in fact.restricted.branch) == [2, 4]
+
+    def test_wide_presentation_is_fast(self):
+        # 24 lines of (Z/10007)^12: every entry of the Hermite basis stays
+        # below its modulus, where the unreduced Smith form of the relation
+        # matrix took seconds.
+        p, r = 10007, 12
+        data = prime_lines(random.Random(1), p, r, 2 * r)
+        start = perf_counter()
+        fact = ramification_factorization(data)
+        elapsed = perf_counter() - start
+        assert fact.etale_index == 1 and fact.kernel_order == p**r
+        gens = [datum.generator.residues for datum in data.branch]
+        for k in fact.kernel_gens:
+            assert not any(sum(t * g[j] for t, g in zip(k.residues, gens)) % p for j in range(r))
+        assert elapsed < 1.0, f"presentation took {elapsed:.3f} s"
+
+    def test_totally_ramified_needs_no_smith_form(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(abelcover.groups, "smith_normal_form", refuse)
+        monkeypatch.setattr(abelcover.cover, "smith_normal_form", refuse)
+        for data in (z2cubed_data(), zpqr_data(), z3sq_gorenstein(),
+                     prime_lines(random.Random(1), 10007, 4, 8)):
+            fact = ramification_factorization(data)
+            assert fact.totally_ramified and fact.restricted == data
 
     def test_restricted_is_totally_ramified(self):
         rng = random.Random(23)
@@ -386,7 +431,7 @@ class TestKernelSupports:
             for i in range(len(subgroups)):
                 for j in range(i + 1, len(subgroups)):
                     meet = subgroups[i] & subgroups[j]
-                    assert meet == {data.group.identity().residues}
+                    assert meet == {identity(data.group).residues}
 
 
 class TestSumMapPresentation:
@@ -396,12 +441,11 @@ class TestSumMapPresentation:
     def test_matches_brute_force(self, seed):
         rng = random.Random(seed)
         data = random_data(rng, random_group(rng, max_order=512), max_branch=4, max_H=5000)
-        nu = sum_map(data)
         pres = ramification_factorization(data)
-        kernel = brute_kernel(nu)
+        kernel = brute_kernel(data)
         assert pres.kernel_order == len(kernel)
         assert set(closure(data.orders, [g.residues for g in pres.kernel_gens])) == kernel
-        assert pres.image_order == len(brute_image(nu))
+        assert pres.image_order == len(brute_image(data))
         assert pres.etale_index * pres.image_order == data.group.order
         restricted = pres.restricted
         assert restricted.group.order == pres.image_order
