@@ -32,9 +32,12 @@ DEFAULT_FIBER_ORDER_LIMIT = 4096
 #: Highest degree whose invariant monomials `hilbert` counts by default.
 DEFAULT_HILBERT_DEGREE = 12
 
-#: Codec that lays a string out as one native-order 32-bit field per
-#: character.
-_UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+#: Degree field widths, narrowest first: the bytes per field, the codec that
+#: lays a string out as one native-order field of that width per character
+#: (surrogate code points pass through the UTF ones), and the memoryview
+#: format that reads the fields back as unsigned ints.
+_ENDIAN = "le" if sys.byteorder == "little" else "be"
+_FIELDS = ((1, "latin-1", "B"), (2, f"utf-16-{_ENDIAN}", "H"), (4, f"utf-32-{_ENDIAN}", "I"))
 
 #: Turns the binary digits of a bitset into bytes 0 and 1, selectors for
 #: itertools.compress.
@@ -53,10 +56,11 @@ class FiberRing(_Frozen):
 
     Derived state, made from the columns on first use: `alphas[k]`, the
     exponent vector of index k; `codes[k]`, that vector packed into one
-    integer, and `positions`, which maps the code back to k; and the total
-    degrees.  No __slots__: these live in the instance __dict__.  Copies
-    and pickles carry the fields only and rebuild them.  classify reads the
-    columns and the degrees, never `alphas`."""
+    integer, and `positions`, which maps the code back to k; the total
+    `degrees`, and their `tally`, which the socle walk and the Hilbert
+    numerator share.  No __slots__: these live in the instance __dict__.
+    Copies and pickles carry the fields only and rebuild them.  classify
+    reads the columns, the degrees and the tally, never `alphas`."""
 
     _fields = ("group", "orders", "columns")
 
@@ -68,14 +72,24 @@ class FiberRing(_Frozen):
     @cached_property
     def degrees(self) -> memoryview:
         """Total degree of each basis monomial, by index; summed once per
-        ring.  Each column is read as one integer with a 32-bit field per
-        index (native-order UTF-32, whose surrogate code points pass
-        through), so that the sum of the columns holds every total degree
-        in its field, read back as unsigned ints.  No field carries:
-        build_fiber_ring caps sum(d_i - 1) below 2^32."""
-        total = sum(int.from_bytes(column.encode(_UTF32, "surrogatepass"), sys.byteorder)
+        ring.  The fields are the narrowest of 8, 16 or 32 bits that hold
+        the top degree sum(d_i - 1).  Each column is read as one integer
+        with one native-order field per index (latin-1, UTF-16 or UTF-32),
+        so that the sum of the columns holds every total degree in its
+        field, read back as unsigned ints.  Every exponent is at most the
+        top degree, so each character fits its field, and no field
+        carries; build_fiber_ring caps the top degree below 2^32."""
+        top = sum(self.orders) - len(self.orders)
+        width, codec, form = next(field for field in _FIELDS if top < 1 << 8 * field[0])
+        total = sum(int.from_bytes(column.encode(codec, "surrogatepass"), sys.byteorder)
                     for column in self.columns)
-        return memoryview(total.to_bytes(4 * self.dimension, sys.byteorder)).cast("I")
+        return memoryview(total.to_bytes(width * self.dimension, sys.byteorder)).cast(form)
+
+    @cached_property
+    def tally(self) -> Counter[int]:
+        """Number of basis monomials of each total degree; counted once per
+        ring, for the socle walk and the Hilbert numerator."""
+        return Counter(self.degrees)
 
     @cached_property
     def codes(self) -> list[int]:
@@ -182,11 +196,15 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     the empty digit string, and takes the moduli from last to first,
     prepending one digit per step: index c_j * (m_{j+1} ... m_r) + k holds
     column[k] + c_j * t mod d_i, with t = alpha_i(e_j).  So the new column
-    is m_j copies of the old one, each the one before translated through
-    the table values[t:] + values[:t], with values = [0, 1, ..., d_i - 1];
-    a zero step repeats the column.  The indices come out in lexicographic
-    order.  A character holds exponents up to 0x10FFFF, and the degrees are
-    summed in 32-bit fields (FiberRing.degrees), so a ring past either cap
+    is m_j copies of the old one, copy c translated by c * t, and it is
+    built by doubling: a block of the first c copies is extended by itself
+    translated by c * t mod d_i, through the table values[u:] + values[:u]
+    with u = c * t mod d_i and values = [0, 1, ..., d_i - 1].  The last
+    extension takes only the copies still missing, so that no copy past the
+    m_j-th is built, and a step costs O(log m_j) translations; a zero step
+    repeats the column.  The indices come out in lexicographic order.  A
+    character holds exponents up to 0x10FFFF, and the degrees are summed in
+    fields of at most 32 bits (FiberRing.degrees), so a ring past either cap
     raises LimitExceeded before any column is built.
 
     alpha is injective exactly when the data is totally ramified: its kernel
@@ -210,14 +228,15 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     if top >= 1 << 32:
         raise LimitExceeded(
             f"top degree {top} exceeds the fiber ring's degree cap: degrees below 2^32")
+    inverses = [pow(datum.char_residue, -1, d) for datum, d in zip(data.branch, orders)]
     steps = []
     for j, m in enumerate(moduli):
         step = []
-        for datum, d in zip(data.branch, orders):
+        for datum, d, inverse in zip(data.branch, orders, inverses):
             num = datum.generator.residues[j] * d
             if num % m:
                 raise ArithmeticError("character value outside the inertia dual")
-            step.append(pow(datum.char_residue, -1, d) * (num // m) % d)
+            step.append(inverse * (num // m) % d)
         steps.append(step)
     hermite = _hermite(moduli, [datum.generator.residues for datum in data.branch])
     if any(row[k] != 1 for k, row in enumerate(hermite)):
@@ -233,12 +252,11 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
             if not t:
                 column *= m
                 continue
-            shift = values[t:] + values[:t]
-            copies = [column]
-            for _ in range(m - 1):
-                column = column.translate(shift)
-                copies.append(column)
-            column = "".join(copies)
+            size, c = len(column), 1
+            while c < m:
+                u = c * t % d
+                column += column[:min(c, m - c) * size].translate(values[u:] + values[:u])
+                c *= 2
         columns.append(column)
     return FiberRing(data.group, orders, tuple(columns))
 
@@ -276,13 +294,14 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     every degree is walked, and either way every socle vector has been
     yielded.
 
-    The degrees are the distinct values of ring.degrees, and the indices
-    of one degree are found straight in its packed fields: the degree's
-    4-byte native-order pattern is searched in the underlying bytes, and
-    index k is field k, at byte offset 4k.  A match at an offset that is not
-    a multiple of 4 straddles two fields, the end of one and the start of
-    the next, and is skipped; every field holding the degree is still found,
-    since the search resumes one byte past each match.
+    The degrees are the keys of ring.tally, and the indices of one degree
+    are found straight in the packed fields of ring.degrees: with w bytes
+    per field, the degree's w-byte native-order pattern is searched in the
+    underlying bytes, and index k is field k, at byte offset w * k.  A
+    match at an offset that is not a multiple of w straddles two fields,
+    the end of one and the start of the next, and is skipped; every field
+    holding the degree is still found, since the search resumes one byte
+    past each match.
 
     Sets of indices are bitsets, index k at bit n - 1 - k, so that the
     binary string of a bitset holds index k at position k.  at[i][v] is the
@@ -302,16 +321,16 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     """
     n = ring.dimension
     columns, orders, degrees = ring.columns, ring.orders, ring.degrees
-    fields = degrees.obj
+    fields, width = degrees.obj, degrees.itemsize
     at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
     covered, snapshot = 0, "0" * n
-    for degree in sorted(set(degrees), reverse=True):
-        pattern = degree.to_bytes(4, sys.byteorder)
+    for degree in sorted(ring.tally, reverse=True):
+        pattern = degree.to_bytes(width, sys.byteorder)
         fresh = False
         offset = fields.find(pattern)
         while offset >= 0:
-            k, straddle = divmod(offset, 4)
+            k, straddle = divmod(offset, width)
             if not straddle and snapshot[k] == "0":
                 above = 0
                 for i, column in enumerate(columns):
@@ -359,8 +378,9 @@ class HilbertNumerator(_Frozen):
 
 
 def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
-    """Degree distribution of the w_chi basis of the fiber ring."""
-    tally = Counter(ring.degrees)
+    """Degree distribution of the w_chi basis of the fiber ring, read off
+    ring.tally, which the socle walk shares."""
+    tally = ring.tally
     return HilbertNumerator(tuple(tally[degree] for degree in range(max(tally) + 1)))
 
 

@@ -590,7 +590,10 @@ class TestGolden:
     (Z/8 + Z/9 + Z/7 with lines of orders 504, 504, 168 and 252; plain
     `fiber`, since its table would have 254016 cells) and one whose kernel
     is large but whose minimal support is small ((Z/2)^12 with 30 lines,
-    |K| = 2^18; `classify --json` only).  The captures are
+    |K| = 2^18; `classify --json` only).  Two cyclic rings take the wider
+    degree fields: Z/4093 with 3 lines on the generator 1 (16-bit fields;
+    `socle` walks 4093 levels) and Z/4096 with 17 (32-bit fields; no
+    `socle`, whose full walk takes seconds there).  The captures are
     the behaviour contract of the text and JSON reports; they are never
     regenerated to follow a code change."""
 

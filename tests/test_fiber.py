@@ -27,6 +27,7 @@ from helpers import (
     brute_discrete_log,
     character_value,
     characters_of,
+    cyclic_lines,
     dual_numbers_data,
     elementary_lines,
     random_data,
@@ -169,6 +170,32 @@ class TestEpsilon:
             expected = tuple((x + y) // d for x, y, d in zip(scan(chi), scan(chi2), data.orders))
             assert carries(ring, chi, chi2) == expected
 
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans())
+    def test_columns_match_the_definition(self, seed, cyclic):
+        # alpha_i = d_i * chi(g_i) / a_i mod d_i for every character, on
+        # rings whose exponents pass the ASCII range: Z/N with N up to 600
+        # and 1-3 lines, and rank-2 groups with elements of order up to 1200.
+        # A column step that builds one copy too many or too few, or
+        # translates a copy by the wrong multiple, misplaces an exponent.
+        rng = random.Random(seed)
+        if cyclic:
+            data = cyclic_lines(rng, rng.randint(2, 600), rng.randint(1, 3))
+        else:
+            while True:
+                group = AbelianGroup((rng.randint(2, 6), rng.randint(2, 200)))
+                try:
+                    data = random_data(rng, group, min_branch=2, max_branch=3,
+                                       require_total=True, max_H=10**7, tries=80)
+                    break
+                except RuntimeError:  # too few distinct lines, or no total span
+                    continue
+        ring = build_fiber_ring(data)
+        for k, alpha in enumerate(ring.alphas):
+            chi = ring.character(k)
+            assert alpha == tuple(
+                int(d * character_value(chi, datum.generator)) * pow(datum.char_residue, -1, d) % d
+                for datum, d in zip(data.branch, data.orders))
+
 
 class TestFiberRing:
     def test_dual_numbers(self):
@@ -253,12 +280,22 @@ class TestFiberRing:
         assert "alphas" not in ring.__dict__
 
     def test_degrees_match_sums(self):
+        # The fields are the narrowest that hold the top degree: 8 bits on
+        # (Z/2)^12, 16 on the wide-order rings, and 32 on Z/4096 with 17
+        # lines on the generator 1, whose top degree bound is 17 * 4095 = 69615.
+        C = AbelianGroup((4096,))
         rings = [build_fiber_ring(elementary_lines(random.Random(73), 12, 3))]
         rings += [build_fiber_ring(data) for data in wide_order_data()]
+        rings.append(build_fiber_ring(validate(CombinatorialData(
+            C, tuple(BranchDatum(C.element((1,)), a) for a in range(1, 34, 2))))))
         assert len(rings[0].orders) >= 13
         assert max(max(ring.degrees) for ring in rings) > 255
+        assert sum(rings[-1].orders) - len(rings[-1].orders) == 69615
         for ring in rings:
             assert list(ring.degrees) == [sum(alpha) for alpha in ring.alphas]
+            top = sum(ring.orders) - len(ring.orders)
+            assert ring.degrees.itemsize == (1 if top < 1 << 8 else 2 if top < 1 << 16 else 4)
+        assert [ring.degrees.itemsize for ring in rings] == [1, 2, 2, 4]
 
     def test_alpha_bijection(self):
         rng = random.Random(17)
@@ -363,10 +400,10 @@ class TestSocle:
 
     def test_walk_order(self):
         # The walk yields by degree from the top down.  In Z/257 and Z/513
-        # with one line the top degree is 256w and index w has degree w, so
-        # the level's 4-byte pattern also matches across fields w - 1 and w,
-        # at an offset that is not a multiple of 4; taken as a field, that
-        # match would yield index w - 1 as well.
+        # with one line index w has degree w, and the top degree n - 1 takes
+        # 2-byte fields.  Its pattern also matches across two fields near
+        # the start, at an offset that is not a multiple of the field width;
+        # taken as a field, that match would yield a low index as well.
         rng = random.Random(79)
         rings = [build_fiber_ring(random_total_data(rng, max_order=256, max_branch=5))
                  for _ in range(20)]
@@ -382,8 +419,9 @@ class TestSocle:
             assert walk == sorted(walk, reverse=True)
             assert sorted_socle(ring) == pairwise_socle(ring)
         for ring in rings[-2:]:
-            fields, top = ring.degrees.obj, (ring.dimension - 1).to_bytes(4, sys.byteorder)
-            assert any(k % 4 and fields.startswith(top, k) for k in range(len(fields)))
+            fields, width = ring.degrees.obj, ring.degrees.itemsize
+            top = (ring.dimension - 1).to_bytes(width, sys.byteorder)
+            assert any(k % width and fields.startswith(top, k) for k in range(len(fields)))
 
     def test_large_socle_is_fast(self):
         # The socle pass pays per socle vector, so rings whose socle is most
