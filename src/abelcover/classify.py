@@ -21,7 +21,7 @@ from .cover import (
 from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
     build_fiber_ring,
-    hilbert_numerator,
+    hilbert_palindromic,
     socle_basis,
 )
 
@@ -162,9 +162,12 @@ def classify(
     graph of its constraints in (Z/L)^k + G, not the graph of nu in G + H),
     and reads nothing of the presentation, so it stays an independent check
     on it; its certificate is a character of the original ambient group.
-    The fiber routes read only the ring.  The solver confirms a lift it
-    finds but not the absence of one: a missed lift shows up here, as a
-    disagreement with the other routes.  When build_fiber_ring refuses the ring
+    The fiber routes read only the ring, and stop at the top degree where
+    it settles them: two monomials there give a socle of dimension at least
+    2 and a numerator that is not palindromic, with no dominance mask built
+    and, on one-byte degree fields, no tally counted.  The solver confirms
+    a lift it finds but not the absence of one: a missed lift shows up
+    here, as a disagreement with the other routes.  When build_fiber_ring refuses the ring
     (LimitExceeded: over `fiber_order_limit` or past its representation
     caps), the fiber routes are recorded as skipped (None) rather than
     aborting the report; the lift and SL routes always run.
@@ -183,7 +186,7 @@ def classify(
         pass
     else:
         socle_ok = len(list(islice(socle_basis(ring), 2))) == 1
-        palindromic = hilbert_numerator(ring).palindromic
+        palindromic = hilbert_palindromic(ring)
 
     checks = GorensteinChecks(certificate is not None, watanabe, socle_ok, palindromic)
     if not checks.agree():

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, repeat
 from math import comb, lcm
 from operator import mul, or_
 
@@ -57,10 +57,11 @@ class FiberRing(_Frozen):
     Derived state, made from the columns on first use: `alphas[k]`, the
     exponent vector of index k; `codes[k]`, that vector packed into one
     integer, and `positions`, which maps the code back to k; the total
-    `degrees`, and their `tally`, which the socle walk and the Hilbert
-    numerator share.  No __slots__: these live in the instance __dict__.
-    Copies and pickles carry the fields only and rebuild them.  classify
-    reads the columns, the degrees and the tally, never `alphas`."""
+    `degrees`, their `tally`, and the `levels` that the socle walk visits.
+    No __slots__: these live in the instance __dict__.  Copies and pickles
+    carry the fields only and rebuild them.  classify reads the columns and
+    the degrees, never `alphas`; it counts the tally only on rings with
+    wider degree fields or one monomial at the top degree."""
 
     _fields = ("group", "orders", "columns")
 
@@ -88,8 +89,40 @@ class FiberRing(_Frozen):
     @cached_property
     def tally(self) -> Counter[int]:
         """Number of basis monomials of each total degree; counted once per
-        ring, for the socle walk and the Hilbert numerator."""
+        ring, for the Hilbert numerator and the levels of a ring with wider
+        degree fields."""
         return Counter(self.degrees)
+
+    @cached_property
+    def levels(self) -> Sequence[int]:
+        """The total degrees to walk, from the top down.  The choice follows
+        the degree field width, a property of the input, on purpose.  With
+        one-byte fields (top degree sum(d_i - 1) below 256) it is every
+        degree from the top to 0, and no tally is counted: a degree that
+        does not occur costs one memchr miss over n bytes.  With wider
+        fields a miss searches every field, so it is the degrees that
+        occur, the keys of the tally."""
+        if self.degrees.itemsize == 1:
+            return range(sum(self.orders) - len(self.orders), -1, -1)
+        return sorted(self.tally, reverse=True)
+
+    def indices(self, degree: int) -> Iterator[int]:
+        """The basis indices of total degree `degree`, in increasing order,
+        found straight in the packed fields of `degrees`: with w bytes per
+        field, the degree's w-byte native-order pattern is searched in the
+        underlying bytes, and index k is field k, at byte offset w * k.  A
+        match at an offset that is not a multiple of w straddles two
+        fields, the end of one and the start of the next, and is skipped;
+        every field holding the degree is still found, since the search
+        resumes one byte past each match."""
+        fields, width = self.degrees.obj, self.degrees.itemsize
+        pattern = degree.to_bytes(width, sys.byteorder)
+        offset = fields.find(pattern)
+        while offset >= 0:
+            k, straddle = divmod(offset, width)
+            if not straddle:
+                yield k
+            offset = fields.find(pattern, offset + 1)
 
     @cached_property
     def codes(self) -> list[int]:
@@ -294,14 +327,8 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     every degree is walked, and either way every socle vector has been
     yielded.
 
-    The degrees are the keys of ring.tally, and the indices of one degree
-    are found straight in the packed fields of ring.degrees: with w bytes
-    per field, the degree's w-byte native-order pattern is searched in the
-    underlying bytes, and index k is field k, at byte offset w * k.  A
-    match at an offset that is not a multiple of w straddles two fields,
-    the end of one and the start of the next, and is skipped; every field
-    holding the degree is still found, since the search resumes one byte
-    past each match.
+    The degrees are ring.levels, and the indices of one degree come from
+    ring.indices, a search of the packed degree fields.
 
     Sets of indices are bitsets, index k at bit n - 1 - k, so that the
     binary string of a bitset holds index k at position k.  at[i][v] is the
@@ -309,7 +336,9 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     translation through "0" * v + "1" * (d_i - v) (none for v = d_i).  The
     vectors dominated by a are those outside at[i][a_i + 1] for every i, so
     each socle vector costs s whole-ring operations, and its exponents are
-    read as ord(columns[i][k]).
+    read as ord(columns[i][k]).  Since the socle vectors of one degree cover
+    nothing of that degree, their masks are built after the level's scan:
+    a walk stopped after two vectors of the top degree builds none.
 
     >>> from abelcover import AbelianGroup, BranchDatum, CombinatorialData, validate
     >>> G = AbelianGroup((2, 2, 2))
@@ -320,34 +349,31 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     [(1, 1, 1)]
     """
     n = ring.dimension
-    columns, orders, degrees = ring.columns, ring.orders, ring.degrees
-    fields, width = degrees.obj, degrees.itemsize
+    columns, orders = ring.columns, ring.orders
     at = [{d: 0} for d in orders]
     everyone = (1 << n) - 1
     covered, snapshot = 0, "0" * n
-    for degree in sorted(ring.tally, reverse=True):
-        pattern = degree.to_bytes(width, sys.byteorder)
-        fresh = False
-        offset = fields.find(pattern)
-        while offset >= 0:
-            k, straddle = divmod(offset, width)
-            if not straddle and snapshot[k] == "0":
-                above = 0
-                for i, column in enumerate(columns):
-                    v = ord(column[k]) + 1
-                    mask = at[i].get(v)
-                    if mask is None:
-                        table = "0" * v + "1" * (orders[i] - v)
-                        mask = at[i][v] = int(column.translate(table), 2)
-                    above |= mask
-                covered |= everyone ^ above
-                fresh = True
+    for degree in ring.levels:
+        found = []
+        for k in ring.indices(degree):
+            if snapshot[k] == "0":
+                found.append(k)
                 yield ring.character(k)
-            offset = fields.find(pattern, offset + 1)
+        if not found:
+            continue
+        for k in found:
+            above = 0
+            for i, column in enumerate(columns):
+                v = ord(column[k]) + 1
+                mask = at[i].get(v)
+                if mask is None:
+                    table = "0" * v + "1" * (orders[i] - v)
+                    mask = at[i][v] = int(column.translate(table), 2)
+                above |= mask
+            covered |= everyone ^ above
         if covered == everyone:
             return
-        if fresh:
-            snapshot = f"{covered:0{n}b}"
+        snapshot = f"{covered:0{n}b}"
 
 
 class HilbertNumerator(_Frozen):
@@ -379,9 +405,19 @@ class HilbertNumerator(_Frozen):
 
 def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
     """Degree distribution of the w_chi basis of the fiber ring, read off
-    ring.tally, which the socle walk shares."""
+    ring.tally, which a walk of a ring with wider degree fields shares."""
     tally = ring.tally
-    return HilbertNumerator(tuple(tally[degree] for degree in range(max(tally) + 1)))
+    return HilbertNumerator(tuple(map(tally.get, range(max(tally) + 1), repeat(0))))
+
+
+def hilbert_palindromic(ring: FiberRing) -> bool:
+    """Whether hilbert_numerator(ring) is palindromic, read from the top
+    level first.  Only the identity has degree 0, so q_0 = 1, and a
+    palindromic numerator has q_D = 1 at its top degree D: two indices at
+    the first degree of ring.levels that occurs decide False, with no
+    tally.  Otherwise the whole numerator is checked."""
+    top = next(filter(None, (list(islice(ring.indices(degree), 2)) for degree in ring.levels)))
+    return len(top) == 1 and hilbert_numerator(ring).palindromic
 
 
 def _exponents_up_to(s: int, max_degree: int):

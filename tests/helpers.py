@@ -337,7 +337,10 @@ def cyclic_lines(rng, N, count):
     """Z/N with `count` branch lines, each with a random generating
     character: the first on a random unit, so that the data is totally
     ramified and one exponent runs up to N - 1, the others on random
-    nonzero elements."""
+    nonzero elements.  Z/N has only N - 1 distinct pairs (H, psi), phi(d)
+    for the subgroup of each order d > 1, so `count` is capped there; past
+    the cap, the redraw below would never end (Z/2 with 2 lines)."""
+    count = min(count, N - 1)
     G = AbelianGroup((N,))
     units = [u for u in range(1, N) if gcd(u, N) == 1]
     while True:

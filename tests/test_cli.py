@@ -593,7 +593,12 @@ class TestGolden:
     |K| = 2^18; `classify --json` only).  Two cyclic rings take the wider
     degree fields: Z/4093 with 3 lines on the generator 1 (16-bit fields;
     `socle` walks 4093 levels) and Z/4096 with 17 (32-bit fields; no
-    `socle`, whose full walk takes seconds there).  The captures are
+    `socle`, whose full walk takes seconds there).  Two fiber-large
+    documents (benchmark seed 1) pin the walk's exits at the top degree,
+    with `classify --json` and `socle`: (Z/2)^12 with the coordinate lines
+    and the diagonal, whose top degree holds two monomials, and (Z/16)^3
+    with the coordinate lines and two more, whose top degree holds one and
+    whose walk crosses degrees that do not occur.  The captures are
     the behaviour contract of the text and JSON reports; they are never
     regenerated to follow a code change."""
 

@@ -3,7 +3,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from time import perf_counter
 
 import pytest
@@ -23,6 +23,7 @@ from abelcover import (
 )
 import abelcover.groups
 from abelcover.classify import gorenstein_lift
+from abelcover.fiber import hilbert_palindromic
 from helpers import (
     brute_discrete_log,
     character_value,
@@ -279,6 +280,22 @@ class TestFiberRing:
         hilbert_numerator(ring)
         assert "alphas" not in ring.__dict__
 
+    def test_top_level_settles_without_a_tally(self):
+        # Two monomials at the top degree settle both fiber routes: the
+        # walk stops after two yields and the palindrome test after one
+        # level, and neither counts the tally.  A Gorenstein ring has one
+        # monomial there, so its palindrome test counts the whole numerator.
+        ring = build_fiber_ring(elementary_lines(random.Random(71), 12, 1))
+        assert ring.dimension == 4096 and ring.degrees.itemsize == 1
+        assert hilbert_numerator(copy.copy(ring)).coefficients[-1] >= 2
+        assert len(list(islice(socle_basis(ring), 2))) == 2
+        assert not hilbert_palindromic(ring)
+        assert "tally" not in ring.__dict__
+        gorenstein = build_fiber_ring(elementary_lines(random.Random(71), 12, 0))
+        assert len(list(islice(socle_basis(gorenstein), 2))) == 1
+        assert hilbert_palindromic(gorenstein)
+        assert "tally" in gorenstein.__dict__
+
     def test_degrees_match_sums(self):
         # The fields are the narrowest that hold the top degree: 8 bits on
         # (Z/2)^12, 16 on the wide-order rings, and 32 on Z/4096 with 17
@@ -520,6 +537,54 @@ class TestHilbertNumerator:
             assert sum(numerator.coefficients) == data.group.order
             assert len(numerator.coefficients) - 1 <= sum(d - 1 for d in data.orders)
             assert numerator.coefficients[0] == 1
+
+
+def top_level_ring(seed, source):
+    """A ring for the top-level exits: from random_total_data (mostly
+    one-byte fields), cyclic on Z/N with N <= 600 and 1-3 lines (one-byte
+    and two-byte fields), or a wide-order ring."""
+    rng = random.Random(seed)
+    if source == "total":
+        return build_fiber_ring(random_total_data(rng, max_order=256, max_branch=5))
+    if source == "cyclic":
+        return build_fiber_ring(cyclic_lines(rng, rng.randint(2, 600), rng.randint(1, 3)))
+    return build_fiber_ring(rng.choice(list(wide_order_data())))
+
+
+def check_top_level_exits(ring):
+    """Assert that the exits at the top degree agree with the full routes,
+    each on a fresh copy of the ring, and return the ring's kind: its field
+    width, whether its top degree holds two monomials, whether it is
+    Gorenstein, and whether its walk crosses degrees that do not occur."""
+    numerator = hilbert_numerator(copy.copy(ring))
+    assert hilbert_palindromic(copy.copy(ring)) == numerator.palindromic
+    degrees = ring.degrees
+    walk = [ring.index(chi) for chi in socle_basis(copy.copy(ring))]
+    assert degrees[walk[0]] == max(degrees)
+    assert walk == sorted(walk, key=lambda k: (-degrees[k], k))
+    socle = pairwise_socle(ring)
+    assert [ring.character(k) for k in sorted(walk)] == socle
+    top = sum(ring.orders) - len(ring.orders)
+    coefficients = numerator.coefficients
+    return (degrees.itemsize, coefficients[-1] >= 2, len(socle) == 1,
+            top > len(coefficients) - 1)
+
+
+class TestTopLevelExits:
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(("total", "cyclic", "wide")))
+    def test_exits_match_full_routes(self, seed, source):
+        check_top_level_exits(top_level_ring(seed, source))
+
+    def test_fixed_draws_cover_every_kind(self):
+        # On both field widths: two monomials at the top, one monomial at
+        # the top below a gap of absent degrees, and Gorenstein.
+        draws = (("total", 0), ("total", 3), ("total", 1),
+                 ("cyclic", 21), ("cyclic", 0), ("cyclic", 6), ("wide", 0))
+        kinds = {check_top_level_exits(top_level_ring(seed, source))
+                 for source, seed in draws}
+        assert kinds == {(width, *kind) for width in (1, 2) for kind in (
+            (True, False, True), (False, False, True), (False, True, False))}
 
 
 class TestInvariantMonomials:
