@@ -92,12 +92,12 @@ def parse_input(text: str) -> CombinatorialData:
         raise DocumentError("$", "fields 'group' and 'branch' are required")
     if not isinstance(obj["group"], list):
         raise DocumentError("group", "must be a list of moduli")
-    moduli = []
-    for i, m in enumerate(obj["group"]):
-        m = _expect_int(m, f"group[{i}]")
-        if m < 2:
-            raise DocumentError(f"group[{i}]", f"modulus must be >= 2, got {m}")
-        moduli.append(m)
+    # Locations are formatted only when a value is bad: the slow loops raise.
+    moduli = obj["group"]
+    if not all(type(m) is int and m >= 2 for m in moduli):
+        for i, m in enumerate(moduli):
+            if _expect_int(m, f"group[{i}]") < 2:
+                raise DocumentError(f"group[{i}]", f"modulus must be >= 2, got {m}")
     if not isinstance(obj["branch"], list):
         raise DocumentError("branch", "must be a list")
     branch = []
@@ -117,9 +117,13 @@ def parse_input(text: str) -> CombinatorialData:
             raise DocumentError(
                 f"{where}.generator",
                 f"expected {len(moduli)} residues, got {len(gen)}")
-        residues = tuple(_expect_int(x, f"{where}.generator[{j}]") for j, x in enumerate(gen))
-        character = _expect_int(entry["character"], f"{where}.character")
-        branch.append((residues, character))
+        if not all(type(x) is int for x in gen):
+            for j, x in enumerate(gen):
+                _expect_int(x, f"{where}.generator[{j}]")
+        character = entry["character"]
+        if type(character) is not int:
+            _expect_int(character, f"{where}.character")
+        branch.append((gen, character))
     return CombinatorialData.from_residues(moduli, branch)
 
 

@@ -47,9 +47,15 @@ class BranchDatum(_Frozen):
         w = u*(r/e) mod m'; w runs over the units mod m' with
         w = c*(r/e) mod gcd(n, m'), so the least one is found by walking that
         progression.  It fixes u mod m', which joins the class by the
-        Chinese remainder theorem.  After the last coordinate n = d."""
-        c, n = 0, 1
+        Chinese remainder theorem.  After the last coordinate n = d, and the
+        walk stops as soon as n = d: the unit class is then fixed, and at
+        every later coordinate m' divides d = n, so h = m', the progression
+        is the one class w = c*(r/e) mod m', and t = 0.  When c = 1 the
+        generator is already canonical, and the datum itself is returned."""
+        c, n, d = 0, 1, self.order
         for r, m in zip(self.generator.residues, self.generator.group.moduli):
+            if n == d:
+                break
             if r == 0:
                 continue
             e = gcd(r, m)
@@ -61,6 +67,8 @@ class BranchDatum(_Frozen):
             # u = w / rp (mod m') and u = c (mod n), both known to agree mod h.
             t = (w * pow(rp, -1, mp) - c) // h * pow(n // h, -1, mp // h) % (mp // h)
             c, n = c + n * t, n // h * mp
+        if c == 1:
+            return self
         return BranchDatum(c * self.generator, self.char_residue * c)
 
 

@@ -19,7 +19,7 @@ from math import comb, lcm
 from operator import mul, or_
 
 from . import groups
-from .groups import AbelianGroup, Character, LimitExceeded, _Frozen, _hermite
+from .groups import AbelianGroup, Character, LimitExceeded, _Frozen
 from .cover import CombinatorialData, SumMapPresentation
 
 #: Largest group order for which the fiber ring is materialized.  The ring
@@ -54,14 +54,15 @@ class FiberRing(_Frozen):
     ordinal alpha_i at index k.  The trivial character (index 0) is the
     identity; all nonzero structure constants are 1.
 
-    Derived state, made from the columns on first use: `alphas[k]`, the
-    exponent vector of index k; `codes[k]`, that vector packed into one
-    integer, and `positions`, which maps the code back to k; the total
-    `degrees`, their `tally`, and the `levels` that the socle walk visits.
-    No __slots__: these live in the instance __dict__.  Copies and pickles
-    carry the fields only and rebuild them.  classify reads the columns and
-    the degrees, never `alphas`; it counts the tally only on rings with
-    wider degree fields or one monomial at the top degree."""
+    Derived state, made from the columns and kept in the instance __dict__
+    (no __slots__): the total `degrees`, summed by build_fiber_ring for its
+    totally-ramified check; and, on first use, `alphas[k]`, the exponent
+    vector of index k, `codes[k]`, that vector packed into one integer,
+    `positions`, which maps the code back to k, the `tally` of the degrees,
+    and the `levels` that the socle walk visits.  Copies and pickles carry
+    the fields only and rebuild the rest on first use.  classify reads the
+    columns and the degrees, never `alphas`; it counts the tally only on
+    rings with wider degree fields or one monomial at the top degree."""
 
     _fields = ("group", "orders", "columns")
 
@@ -73,13 +74,14 @@ class FiberRing(_Frozen):
     @cached_property
     def degrees(self) -> memoryview:
         """Total degree of each basis monomial, by index; summed once per
-        ring.  The fields are the narrowest of 8, 16 or 32 bits that hold
-        the top degree sum(d_i - 1).  Each column is read as one integer
-        with one native-order field per index (latin-1, UTF-16 or UTF-32),
-        so that the sum of the columns holds every total degree in its
-        field, read back as unsigned ints.  Every exponent is at most the
-        top degree, so each character fits its field, and no field
-        carries; build_fiber_ring caps the top degree below 2^32."""
+        ring, when build_fiber_ring checks total ramification.  The fields
+        are the narrowest of 8, 16 or 32 bits that hold the top degree
+        sum(d_i - 1).  Each column is read as one integer with one
+        native-order field per index (latin-1, UTF-16 or UTF-32), so that
+        the sum of the columns holds every total degree in its field, read
+        back as unsigned ints.  Every exponent is at most the top degree,
+        so each character fits its field, and no field carries;
+        build_fiber_ring caps the top degree below 2^32."""
         top = sum(self.orders) - len(self.orders)
         width, codec, form = next(field for field in _FIELDS if top < 1 << 8 * field[0])
         total = sum(int.from_bytes(column.encode(codec, "surrogatepass"), sys.byteorder)
@@ -243,10 +245,12 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     alpha is injective exactly when the data is totally ramified: its kernel
     is the set of characters trivial on every H_i, which is nontrivial iff
     the H_i generate a proper subgroup, and such a character shares the
-    exponent vector of the identity.  The generators span G iff every pivot
-    of their Hermite basis against the moduli is 1, since the span has order
-    prod(m) / prod(pivots) (see _hermite); that costs O(r^2 s), not a
-    comparison of n vectors.  The check is a precondition, not a Gorenstein
+    exponent vector of the identity.  A total degree is a sum of nonnegative
+    exponents, so only the zero vector has degree 0, and the data is
+    totally ramified iff degree 0 occurs exactly once in ring.degrees.  So
+    the ring sums its degrees at build, which classify's fiber routes read
+    anyway, and the check is one search of them for a second degree-0
+    field (FiberRing.indices).  It is a precondition, not a Gorenstein
     route: classify passes the totally ramified part of its presentation of
     the sum map, and the fiber routes read only the ring."""
     n = data.group.order
@@ -271,11 +275,6 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 raise ArithmeticError("character value outside the inertia dual")
             step.append(inverse * (num // m) % d)
         steps.append(step)
-    hermite = _hermite(moduli, [datum.generator.residues for datum in data.branch])
-    if any(row[k] != 1 for k, row in enumerate(hermite)):
-        raise ValueError(
-            "data is not totally ramified; classify factors covers first "
-            "(ramification_factorization) and works on the restricted part")
     columns = []
     for i, d in enumerate(orders):
         values = list(range(d))
@@ -291,7 +290,12 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 column += column[:min(c, m - c) * size].translate(values[u:] + values[:u])
                 c *= 2
         columns.append(column)
-    return FiberRing(data.group, orders, tuple(columns))
+    ring = FiberRing(data.group, orders, tuple(columns))
+    if len(list(islice(ring.indices(0), 2))) != 1:
+        raise ValueError(
+            "data is not totally ramified; classify factors covers first "
+            "(ramification_factorization) and works on the restricted part")
+    return ring
 
 
 def socle_basis(ring: FiberRing) -> Iterator[Character]:

@@ -12,6 +12,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import floordiv, mod, mul
 
 #: Cap on the subset probes of the exact minimal-support search of a kernel,
 #: on the elements that `closure` enumerates and on the exponent vectors that
@@ -236,7 +237,7 @@ class Element(_Frozen):
             raise ValueError(f"expected {group.rank} residues, got {len(residues)}")
         object.__setattr__(self, "group", group)
         object.__setattr__(
-            self, "residues", tuple(int(r) % m for r, m in zip(residues, group.moduli)))
+            self, "residues", tuple(map(mod, map(int, residues), group.moduli)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -258,7 +259,8 @@ class Element(_Frozen):
 
     def order(self) -> int:
         """Smallest n >= 1 with n*self = 0, via lcm of coordinate orders."""
-        return lcm(*(m // gcd(r, m) for r, m in zip(self.residues, self.group.moduli)))
+        moduli = self.group.moduli
+        return lcm(*map(floordiv, moduli, map(gcd, self.residues, moduli)))
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
@@ -417,7 +419,9 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     {(0, c) : M c = 0 (mod L)}, the homogeneous solutions.  Reducing c
     against them one coordinate at a time (x_j mod pivot_j) gives the
     lexicographically smallest solution, so the output is deterministic.
-    A solution is checked against every constraint before it is returned.
+    A solution is checked against every constraint before it is returned,
+    as chi(g) = sum_j c_j (L / m_j) g_j mod L against the cleared target
+    b, with the weights c_j (L / m_j) and each ord(g) computed once.
     A None is not re-checked by enumerating G: classify compares it with
     three independent Gorenstein routes, which catch a missed solution.
     """
@@ -448,7 +452,8 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
         q = residues[j] // row[k + j]
         residues = [a - q * h for a, h in zip(residues, row[k:])]
     chi = group.character(residues)
-    for g, a in constraints:
-        if chi(g) != a * (L // g.order()) % L:
+    weights = [c * (L // m) for c, m in zip(chi.residues, group.moduli)]
+    for (g, _), target in zip(constraints, b):
+        if sum(map(mul, weights, g.residues)) % L != target:
             raise ArithmeticError("congruence solver produced a bad solution")
     return chi

@@ -137,6 +137,25 @@ class TestParseInput:
         assert main(["classify"]) == EXIT_INVALID
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"group":[2,2],"branch":[{"generator":[1,true],"character":1}]}',
+         "branch[0].generator[1]: expected an integer, got True"),
+        ('{"group":[2,2,2],"branch":[{"generator":[1,0,"1"],"character":1}]}',
+         "branch[0].generator[2]: expected an integer, got '1'"),
+        ('{"group":[2,2,2],"branch":[{"generator":[1,0,0],"character":1},'
+         '{"generator":[0,1,2.5],"character":1}]}',
+         "branch[1].generator[2]: expected an integer, got 2.5"),
+        ('{"group":[2],"branch":[{"generator":[1],"character":"1"}]}',
+         "branch[0].character: expected an integer, got '1'"),
+        ('{"group":[2,"3"],"branch":[]}',
+         "group[1]: expected an integer, got '3'"),
+    ], ids=["bool-residue", "string-residue", "float-residue-second-entry",
+            "string-character", "string-modulus"])
+    def test_value_error_locations(self, text, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["classify"]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_round_trip(self):
         for name in REGISTRY:
             doc = examples_registry(name)
@@ -598,9 +617,13 @@ class TestGolden:
     with `classify --json` and `socle`: (Z/2)^12 with the coordinate lines
     and the diagonal, whose top degree holds two monomials, and (Z/16)^3
     with the coordinate lines and two more, whose top degree holds one and
-    whose walk crosses degrees that do not occur.  The captures are
-    the behaviour contract of the text and JSON reports; they are never
-    regenerated to follow a code change."""
+    whose walk crosses degrees that do not occur.  Z/4 + Z/8 + Z/3 with
+    three lines (`validate` and `classify --json`) pins canonical
+    generators whose multiplier is not 1: one fixed at its first nonzero
+    coordinate with a nonzero one after it, one fixed at the second
+    coordinate after a first of lower order, and one fixed at the last.
+    The captures are the behaviour contract of the text and JSON reports;
+    they are never regenerated to follow a code change."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=[c["stdout"].removesuffix(".out") for c in GOLDEN_CASES])

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from time import perf_counter
 
 import pytest
@@ -138,6 +138,37 @@ class TestCanonical:
             g = G.element([rng.randrange(m) for m in G.moduli])
             datum = BranchDatum(g, rng.randrange(10**6))
             assert datum.canonical() == brute_canonical(datum)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_brute_force_on_wide_ranks(self, seed):
+        # Each line has order m_f at the coordinate f where its unit class
+        # is fixed: a unit there, orders properly dividing m_f before it and
+        # orders dividing m_f after it.  With zeros before f the class is
+        # fixed at the first nonzero coordinate, with zeros after f at the
+        # last; in between, the walk stops at f with nonzero coordinates
+        # left to skip.
+        rng = random.Random(seed)
+        moduli = tuple(rng.choice((2, 3, 4, 8, 9, 16)) for _ in range(rng.randint(1, 12)))
+        G = AbelianGroup(moduli)
+
+        def dividing(m, k):
+            """A random residue mod m whose order divides k."""
+            step = m // gcd(m, k)
+            return step * rng.randrange(m // step)
+
+        for before, after in ((False, True), (True, True), (True, False)):
+            for _ in range(4):
+                f = rng.randrange(len(moduli))
+                top = moduli[f]
+                lower = top // min(p for p in (2, 3) if top % p == 0)
+                residues = [dividing(m, lower) if before else 0 for m in moduli[:f]]
+                residues.append(rng.choice([u for u in range(1, top) if gcd(u, top) == 1]))
+                residues += [dividing(m, top) if after else 0 for m in moduli[f + 1:]]
+                datum = BranchDatum(G.element(residues), rng.randrange(10**6))
+                assert datum.order == top
+                c = datum.canonical()
+                assert c == brute_canonical(datum)
+                assert c.canonical() is c
 
     def test_validate_large_moduli_is_fast(self):
         p, q = 10**9 + 7, 10**9 + 9

@@ -242,9 +242,9 @@ class TestFiberRing:
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_rejects_exactly_the_proper_spans(self, seed):
-        # The build decides total ramification from the Hermite pivots of
-        # the generators; the span enumerated element by element decides it
-        # too, and so does a repeated exponent vector.
+        # The build decides total ramification from the degree-0 fields of
+        # the ring; the span enumerated element by element decides it too,
+        # and so does a repeated exponent vector.
         rng = random.Random(seed)
         while True:
             try:
@@ -260,10 +260,34 @@ class TestFiberRing:
         else:
             assert len(set(build_fiber_ring(data).alphas)) == data.group.order
 
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_rejects_the_proper_spans_on_wide_fields(self, seed):
+        # Lines of Z/M (M > 256, the first on a unit) moved into Z/kM by
+        # multiplication by k span kZ/kM, proper iff k = 2.  Their top
+        # degree is at least M - 1, so the degrees take 2-byte fields,
+        # where a search for degree 0 also matches across two fields whose
+        # adjacent bytes are zero.
+        rng = random.Random(seed)
+        k = rng.choice((1, 2))
+        M = rng.randint(257, 600 // k)
+        lines = cyclic_lines(rng, M, rng.randint(1, 3))
+        G = AbelianGroup((k * M,))
+        data = validate(CombinatorialData(G, tuple(
+            BranchDatum(G.element((k * datum.generator.residues[0],)), datum.char_residue)
+            for datum in lines.branch)))
+        span = brute_span(G.moduli, [datum.generator.residues for datum in data.branch])
+        if len(span) < G.order:
+            with pytest.raises(ValueError, match="not totally ramified"):
+                build_fiber_ring(data)
+        else:
+            ring = build_fiber_ring(data)
+            assert ring.degrees.itemsize == 2
+            assert len(set(ring.alphas)) == G.order
+
     def test_representation_caps(self):
         # Both caps are checked before any column is built.  The lines span
-        # half of G, so a build that missed a cap would stop at the
-        # totally-ramified check rather than allocate gigabytes of columns.
+        # half of G, so a build that missed a cap would allocate gigabytes
+        # of columns before its totally-ramified check refused the ring.
         wide = CombinatorialData.from_residues((1114117, 2), [((1, 0), 1), ((1, 0), 2)])
         with pytest.raises(LimitExceeded, match="exponent cap: exponents up to 0x10ffff"):
             build_fiber_ring(wide, order_limit=1 << 22)
