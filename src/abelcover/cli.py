@@ -30,7 +30,7 @@ from .fiber import (
     invariant_monomials_up_to_degree,
     socle_basis,
 )
-from .classify import ClassificationReport, CrossCheckError, GorensteinChecks, classify
+from .classify import ClassificationReport, CrossCheckError, classify
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -135,21 +135,66 @@ def print_document(doc: CombinatorialData) -> str:
 # Report rendering
 
 
-def report_to_json_dict(report: ClassificationReport) -> dict:
+_JSON_WORDS = {True: "true", False: "false", None: "null"}
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of rendered items, laid out as by json.dumps(indent=2)
+    for an array whose opening line is indented by `pad`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def report_json(report: ClassificationReport) -> str:
     """The JSON report: one key per field of ClassificationReport, in order,
-    and one per field of GorensteinChecks under "cross_checks"."""
-    out = {name: getattr(report, name) for name in ClassificationReport._fields}
-    kernel = report.kernel
-    out["kernel"] = {
-        "order": kernel.order,
-        "generators": [list(g.residues) for g in kernel.generators],
-        "min_support": kernel.min_support,
-    }
-    out["certificate"] = list(report.certificate.residues) if report.certificate else None
-    out["cross_checks"] = {
-        name: getattr(report.cross_checks, name) for name in GorensteinChecks._fields}
-    out["assumptions"] = list(report.assumptions)
-    return out
+    and one per field of GorensteinChecks under "cross_checks".  This is
+    the one definition of the report's schema and layout.
+
+    The text is exactly json.dumps(..., indent=2) of the report, plus a
+    newline, but it is written by hand.  Given an indent, CPython's json
+    skips its C encoder and runs the pure-Python one, about six times
+    slower on a report, and that encoder's nested closures form reference
+    cycles: every call leaves garbage that only a full collection frees.
+    This writer builds no cycle."""
+    kernel, checks, words = report.kernel, report.cross_checks, _JSON_WORDS
+    generators = _json_array(
+        [_json_array(list(map(str, g.residues)), "      ") for g in kernel.generators], "    ")
+    support = "null" if kernel.min_support is None else str(kernel.min_support)
+    certificate = ("null" if report.certificate is None
+                   else _json_array(list(map(str, report.certificate.residues)), "  "))
+    assumptions = _json_array(list(map(_json_string, report.assumptions)), "  ")
+    return (
+        "{\n"
+        f'  "locally_simple": {words[report.locally_simple]},\n'
+        f'  "totally_ramified": {words[report.totally_ramified]},\n'
+        f'  "etale_index": {report.etale_index},\n'
+        '  "kernel": {\n'
+        f'    "order": {kernel.order},\n'
+        f'    "generators": {generators},\n'
+        f'    "min_support": {support}\n'
+        "  },\n"
+        f'  "gorenstein": {words[report.gorenstein]},\n'
+        f'  "certificate": {certificate},\n'
+        '  "cross_checks": {\n'
+        f'    "lift": {words[checks.lift]},\n'
+        f'    "watanabe": {words[checks.watanabe]},\n'
+        f'    "socle": {words[checks.socle]},\n'
+        f'    "hilbert_palindromic": {words[checks.hilbert_palindromic]}\n'
+        "  },\n"
+        f'  "lci": {_json_string(report.lci)},\n'
+        f'  "lci_reason": {_json_string(report.lci_reason)},\n'
+        f'  "smooth": {_json_string(report.smooth)},\n'
+        f'  "assumptions": {assumptions}\n'
+        "}\n"
+    )
+
+
+def report_to_json_dict(report: ClassificationReport) -> dict:
+    """The JSON report as a dict, read back from report_json."""
+    return json.loads(report_json(report))
 
 
 def _yesno(value) -> str:
@@ -411,11 +456,15 @@ def cmd_validate(doc: CombinatorialData) -> tuple[str, int]:
 
 def cmd_classify(doc: CombinatorialData, *, as_json: bool = False,
                  fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
+    """The report on the validated document, as text or as JSON.  The JSON
+    comes from report_json, which writes json.dumps' indent=2 layout by
+    hand: json.dumps with an indent runs the pure-Python encoder, slow and
+    leaving reference cycles behind on every call."""
     _check_max_order(fiber_order_limit)
     data = validate(doc)
     report = classify(data, fiber_order_limit=fiber_order_limit)
     if as_json:
-        return json.dumps(report_to_json_dict(report), indent=2) + "\n", EXIT_OK
+        return report_json(report), EXIT_OK
     return render_report(data, report), EXIT_OK
 
 

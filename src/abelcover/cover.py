@@ -73,12 +73,16 @@ class BranchDatum(_Frozen):
 
 
 class CombinatorialData(_Frozen):
-    """The ambient group G and the ordered branch data {(H_i, psi_i)} at the point."""
+    """The ambient group G and the ordered branch data {(H_i, psi_i)} at the point.
+    `orders` = (d_1, ..., d_s) is stored once; it is not a field, since the
+    branch fixes it."""
 
-    __slots__ = _fields = ("group", "branch")
+    _fields = ("group", "branch")
+    __slots__ = (*_fields, "orders")
 
     def __init__(self, group: AbelianGroup, branch: tuple[BranchDatum, ...]):
         super().__init__(group, tuple(branch))
+        object.__setattr__(self, "orders", tuple([datum.order for datum in self.branch]))
 
     @classmethod
     def from_residues(cls, moduli, branch) -> "CombinatorialData":
@@ -96,10 +100,6 @@ class CombinatorialData(_Frozen):
                 for datum in self.branch
             ],
         }
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(datum.order for datum in self.branch)
 
     @property
     def size(self) -> int:

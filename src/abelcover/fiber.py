@@ -411,7 +411,10 @@ def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
     """Degree distribution of the w_chi basis of the fiber ring, read off
     ring.tally, which a walk of a ring with wider degree fields shares."""
     tally = ring.tally
-    return HilbertNumerator(tuple(map(tally.get, range(max(tally) + 1), repeat(0))))
+    # From a list, the tuple is allocated at its final size.  From a map,
+    # which has no length hint, tuple() takes a 10-slot tuple and resizes
+    # it, moving one free-list entry from size 10 to the final size.
+    return HilbertNumerator(tuple([*map(tally.get, range(max(tally) + 1), repeat(0))]))
 
 
 def hilbert_palindromic(ring: FiberRing) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -9,9 +10,10 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from abelcover import AbelianGroup, CombinatorialData, build_fiber_ring, validate
+from abelcover import AbelianGroup, CombinatorialData, build_fiber_ring, classify, validate
+import abelcover.groups
 from abelcover.cli import (
     DocumentError,
     EXAMPLE_MAX_PRIME,
@@ -35,14 +37,22 @@ from abelcover.cli import (
     main,
     parse_input,
     print_document,
+    report_json,
+    report_to_json_dict,
 )
 from helpers import (
     cyclic_lines,
+    dual_numbers_data,
     elementary_lines,
     naive_product_table,
     naive_table_text,
+    random_data,
+    random_group,
     random_total_data,
+    single_datum_z105,
     z2cubed_data,
+    z6_unknown_case,
+    zpqr_data,
 )
 
 Z2CUBED_TEXT = json.dumps({
@@ -71,6 +81,12 @@ REPORT_KEYS = [
     "gorenstein", "certificate", "cross_checks", "lci", "lci_reason",
     "smooth", "assumptions",
 ]
+
+
+def _random_report_data(seed: int) -> CombinatorialData:
+    """Valid data on a random small group, totally ramified or not."""
+    rng = random.Random(seed)
+    return random_data(rng, random_group(rng, max_order=96), max_branch=4)
 
 
 class TestParseInput:
@@ -188,6 +204,62 @@ class TestCommands:
         first, _ = cmd_classify(parse_input(Z2CUBED_TEXT), as_json=True)
         second, _ = cmd_classify(parse_input(Z2CUBED_TEXT), as_json=True)
         assert first == second
+
+    def test_classify_json_leaves_no_cyclic_garbage(self):
+        # Cyclic garbage is freed only by full collections, and each one
+        # empties CPython's tuple free lists; a report that leaves none
+        # keeps both, and so peak memory, flat over many documents.
+        docs = [parse_input((GOLDEN / case["document"]).read_text())
+                for case in GOLDEN_CASES if case["args"] == ["classify", "--json"]]
+        rng = random.Random(71)
+        docs += [random_total_data(rng, max_order=96, max_branch=4) for _ in range(5)]
+        gc.collect()
+        gc.disable()
+        try:
+            for doc in docs:
+                cmd_classify(doc, as_json=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6).map(_random_report_data), st.booleans())
+    @example(single_datum_z105(), False)  # etale index 5
+    @example(dual_numbers_data(), False)  # K = 0: no kernel generators
+    @example(zpqr_data(alpha=1, beta=2), False)  # no lift: certificate null
+    @example(validate(CombinatorialData(AbelianGroup(()), ())), False)  # certificate []
+    @example(z6_unknown_case(), True)  # past the probe budget: min_support null
+    def test_report_json_layout(self, data, limited):
+        with pytest.MonkeyPatch.context() as patch:
+            if limited:
+                patch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 1)
+            report = classify(data)
+        text = report_json(report)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text) == report_to_json_dict(report)
+        # Against the report's fields, key order included.
+        kernel, checks = report.kernel, report.cross_checks
+        expected = {
+            "locally_simple": report.locally_simple,
+            "totally_ramified": report.totally_ramified,
+            "etale_index": report.etale_index,
+            "kernel": {
+                "order": kernel.order,
+                "generators": [list(g.residues) for g in kernel.generators],
+                "min_support": kernel.min_support,
+            },
+            "gorenstein": report.gorenstein,
+            "certificate": (None if report.certificate is None
+                            else list(report.certificate.residues)),
+            "cross_checks": {"lift": checks.lift, "watanabe": checks.watanabe,
+                             "socle": checks.socle,
+                             "hilbert_palindromic": checks.hilbert_palindromic},
+            "lci": report.lci,
+            "lci_reason": report.lci_reason,
+            "smooth": report.smooth,
+            "assumptions": list(report.assumptions),
+        }
+        assert text == json.dumps(expected, indent=2) + "\n"
 
     def test_classify_invalid_data(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(

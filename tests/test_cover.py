@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 from math import gcd, prod
@@ -44,6 +46,23 @@ def kernel_of(data):
 def kernel_elements(data, kd):
     """All elements of K as residue tuples, enumerated from its generators."""
     return closure(data.orders, [g.residues for g in kd.generators])
+
+
+class TestCombinatorialData:
+    def test_orders_stored_beside_the_fields(self):
+        # `orders` is read many times per document, so it is stored once;
+        # equality, hashing and copies go by the fields alone.
+        data = z2cubed_data()
+        assert data.orders == (2, 2, 2, 2) and type(data.orders) is tuple
+        assert data.orders is data.orders
+        assert data._values() == (data.group, data.branch)
+        empty = CombinatorialData(AbelianGroup(()), [])
+        assert empty.orders == () and empty.branch == ()
+        for copied in (pickle.loads(pickle.dumps(data)), copy.deepcopy(data)):
+            assert copied == data and hash(copied) == hash(data)
+            assert copied.orders == data.orders
+        with pytest.raises(AttributeError):
+            data.orders = (2,)
 
 
 class TestValidate:
