@@ -44,6 +44,37 @@ _FIELDS = ((1, "latin-1", "B"), (2, f"utf-16-{_ENDIAN}", "H"), (4, f"utf-32-{_EN
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 
 
+class _Thresholds(dict):
+    """The threshold masks of one column, by value; see FiberRing.thresholds.
+    A hit is a plain dict lookup, and __missing__ builds what is not there."""
+
+    __slots__ = ("column", "order")
+
+    def __init__(self, column: str, order: int):
+        self[order] = 0
+        self.column, self.order = column, order
+
+    def __missing__(self, v: int) -> int:
+        column, d = self.column, self.order
+        if len(self) > 1 and d > 128 and len(column) <= DEFAULT_FIBER_ORDER_LIMIT:
+            return self.every()[v]
+        mask = self[v] = int(column.translate("0" * v + "1" * (d - v)), 2)
+        return mask
+
+    def every(self) -> _Thresholds:
+        """This column, for a caller that asks for every mask: a column of
+        d_i > 128 sweeps now, whatever |G|; a narrower one still
+        translates on request."""
+        column, d = self.column, self.order
+        if d > 128 and 0 not in self:
+            top = 1 << len(column) >> 1
+            buckets = [0] * d
+            for k, a in enumerate(map(ord, column)):
+                buckets[a] |= top >> k
+            self.update(zip(range(d - 1, -1, -1), accumulate(reversed(buckets), or_)))
+        return self
+
+
 class FiberRing(_Frozen):
     """dim = |G| algebra with basis {w_chi} and the overflow product rule.
 
@@ -59,10 +90,12 @@ class FiberRing(_Frozen):
     totally-ramified check; and, on first use, `alphas[k]`, the exponent
     vector of index k, `codes[k]`, that vector packed into one integer,
     `positions`, which maps the code back to k, the `tally` of the degrees,
-    and the `levels` that the socle walk visits.  Copies and pickles carry
-    the fields only and rebuild the rest on first use.  classify reads the
-    columns and the degrees, never `alphas`; it counts the tally only on
-    rings with wider degree fields or one monomial at the top degree."""
+    the `levels` that the socle walk visits, and the `thresholds`, the one
+    source of the dominance masks that the socle walk and the product table
+    read.  Copies and pickles carry the fields only and rebuild the rest on
+    first use.  classify reads the columns and the degrees, never `alphas`;
+    it counts the tally only on rings with wider degree fields or one
+    monomial at the top degree."""
 
     _fields = ("group", "orders", "columns")
 
@@ -127,6 +160,31 @@ class FiberRing(_Frozen):
             offset = fields.find(pattern, offset + 1)
 
     @cached_property
+    def thresholds(self) -> list[_Thresholds]:
+        """The threshold masks of each column, built on request:
+        thresholds[i][v], for 0 <= v <= d_i, is the set of indices k with
+        alpha_i(k) >= v, as a bitset with index k at bit n - 1 - k, so that
+        the binary string of a mask holds index k at position k.  Mask d_i
+        is empty and is there from the start.
+
+        A mask is built on its first request, by one translation of column
+        i through "0" * v + "1" * (d_i - v).  A column of d_i <= 128 is
+        ASCII, where str.translate takes its fast path, and it always
+        translates.  A wider column is translated character by character,
+        so when it is asked to build a second mask it sweeps all its d_i
+        masks at once instead: one pass puts each index in the bucket of
+        its value, and one cumulative OR from the top value down gives
+        every mask.  The sweep holds d_i masks of |G| bits, so a walk takes
+        it only when |G| is within the default fiber bound,
+        DEFAULT_FIBER_ORDER_LIMIT (about 0.5 GB per column at Z/65521 past
+        it), and past the bound translates each mask it asks for.
+        classify's walk asks at most one mask per column and so never
+        sweeps; a full socle walk asks for many.  The product table asks
+        for every mask of every column through _Thresholds.every, so its
+        wide columns sweep at any |G|: it holds |G|^2 cells anyway."""
+        return [*map(_Thresholds, self.columns, self.orders)]
+
+    @cached_property
     def codes(self) -> list[int]:
         """alphas[k] as one integer in mixed radix 2*d_i - 1.  A coordinate
         sum of two exponent vectors is at most 2*d_i - 2, so codes add
@@ -179,36 +237,25 @@ class FiberRing(_Frozen):
 
         w_a * w_b != 0 exactly when alpha_t(a) + alpha_t(b) < d_t for every
         t, that is, when alpha(b) is dominated by the vector with
-        coordinates d_t - 1 - alpha_t(a).  With below[t][w] the set of
-        indices whose alpha_t is less than w, the nonzero columns of row a
-        are the intersection over t of below[t][d_t - alpha_t(a)]; their
-        products are named through the codes, which add without carry.
-
-        Sets of indices are bitsets, index k at bit n - 1 - k as in
-        socle_basis, so that the binary string of a row's set holds column
-        k at position k.  below[t] is built in one sweep of column t, which
-        puts each index in the bucket of its value, and one cumulative OR of
-        the d_t buckets.  A row costs s whole-ring ANDs, C-level passes over
-        its n columns (the selector bytes, compress, the fill with `zero`),
-        and one add and one lookup per nonzero product."""
+        coordinates d_t - 1 - alpha_t(a), so the nonzero columns of row a
+        are the indices outside thresholds[t][d_t - alpha_t(a)] for every
+        t; their products are named through the codes, which add without
+        carry.  A row costs s whole-ring ORs, C-level passes over its n
+        columns (the selector bytes, compress, the fill with `zero`), and
+        one add and one lookup per nonzero product."""
         n = self.dimension
-        top = 1 << n >> 1
-        below = []
-        for column, d in zip(self.columns, self.orders):
-            buckets = [0] * d
-            for k, v in enumerate(map(ord, column)):
-                buckets[v] |= top >> k
-            below.append([0, *accumulate(buckets, or_)])
+        thresholds, orders = [at.every() for at in self.thresholds], self.orders
         # compress walks a list of the indices, so it makes no new ints.
         codes, indices = self.codes, list(range(n))
         label = dict(zip(codes, names))
         everyone = (1 << n) - 1
         for code, alpha in zip(codes, self.alphas):
-            mask = everyone
-            for masks, d, a in zip(below, self.orders, alpha):
-                mask &= masks[d - a]
+            above = 0
+            for at, d, a in zip(thresholds, orders, alpha):
+                above |= at[d - a]
             row = [zero] * n
-            for j in compress(indices, f"{mask:0{n}b}".encode().translate(_SELECT)):
+            selectors = f"{everyone ^ above:0{n}b}".encode().translate(_SELECT)
+            for j in compress(indices, selectors):
                 row[j] = label[code + codes[j]]
             yield row
 
@@ -334,15 +381,14 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     The degrees are ring.levels, and the indices of one degree come from
     ring.indices, a search of the packed degree fields.
 
-    Sets of indices are bitsets, index k at bit n - 1 - k, so that the
-    binary string of a bitset holds index k at position k.  at[i][v] is the
-    set of indices with alpha_i >= v, made on first use from column i in one
-    translation through "0" * v + "1" * (d_i - v) (none for v = d_i).  The
-    vectors dominated by a are those outside at[i][a_i + 1] for every i, so
-    each socle vector costs s whole-ring operations, and its exponents are
-    read as ord(columns[i][k]).  Since the socle vectors of one degree cover
-    nothing of that degree, their masks are built after the level's scan:
-    a walk stopped after two vectors of the top degree builds none.
+    Sets of indices are bitsets laid out as ring.thresholds, so the binary
+    string of `covered` holds index k at position k.  The vectors
+    dominated by a are those outside ring.thresholds[i][a_i + 1] for every
+    i, so each socle vector costs s whole-ring operations, and its
+    exponents are read as ord(columns[i][k]).  Since the socle vectors of
+    one degree cover nothing of that degree, their masks are asked for
+    after the level's scan: a walk stopped after two vectors of the top
+    degree asks for none.
 
     >>> from abelcover import AbelianGroup, BranchDatum, CombinatorialData, validate
     >>> G = AbelianGroup((2, 2, 2))
@@ -353,8 +399,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     [(1, 1, 1)]
     """
     n = ring.dimension
-    columns, orders = ring.columns, ring.orders
-    at = [{d: 0} for d in orders]
+    columns, thresholds = ring.columns, ring.thresholds
     everyone = (1 << n) - 1
     covered, snapshot = 0, "0" * n
     for degree in ring.levels:
@@ -367,13 +412,8 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
             continue
         for k in found:
             above = 0
-            for i, column in enumerate(columns):
-                v = ord(column[k]) + 1
-                mask = at[i].get(v)
-                if mask is None:
-                    table = "0" * v + "1" * (orders[i] - v)
-                    mask = at[i][v] = int(column.translate(table), 2)
-                above |= mask
+            for column, at in zip(columns, thresholds):
+                above |= at[ord(column[k]) + 1]
             covered |= everyone ^ above
         if covered == everyone:
             return

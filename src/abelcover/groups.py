@@ -236,8 +236,10 @@ class Element(_Frozen):
         if len(residues) != group.rank:
             raise ValueError(f"expected {group.rank} residues, got {len(residues)}")
         object.__setattr__(self, "group", group)
+        # From a list, the tuple is allocated at its final size (see
+        # fiber.hilbert_numerator).
         object.__setattr__(
-            self, "residues", tuple(map(mod, map(int, residues), group.moduli)))
+            self, "residues", tuple([*map(mod, map(int, residues), group.moduli)]))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -683,8 +683,8 @@ class TestGolden:
     is large but whose minimal support is small ((Z/2)^12 with 30 lines,
     |K| = 2^18; `classify --json` only).  Two cyclic rings take the wider
     degree fields: Z/4093 with 3 lines on the generator 1 (16-bit fields;
-    `socle` walks 4093 levels) and Z/4096 with 17 (32-bit fields; no
-    `socle`, whose full walk takes seconds there).  Two fiber-large
+    `socle` walks 4093 levels) and Z/4096 with 17 (32-bit fields; `socle`
+    sweeps its 17 columns, each past the ASCII range).  Two fiber-large
     documents (benchmark seed 1) pin the walk's exits at the top degree,
     with `classify --json` and `socle`: (Z/2)^12 with the coordinate lines
     and the diagonal, whose top degree holds two monomials, and (Z/16)^3

@@ -7,7 +7,7 @@ from itertools import islice, product
 from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abelcover import (
     AbelianGroup,
@@ -307,18 +307,61 @@ class TestFiberRing:
     def test_top_level_settles_without_a_tally(self):
         # Two monomials at the top degree settle both fiber routes: the
         # walk stops after two yields and the palindrome test after one
-        # level, and neither counts the tally.  A Gorenstein ring has one
-        # monomial there, so its palindrome test counts the whole numerator.
+        # level, and neither counts the tally nor builds a mask.  A
+        # Gorenstein ring has one monomial there, so its palindrome test
+        # counts the whole numerator.  Its one socle vector is (d_i - 1),
+        # since every exponent of column i occurs, so the walk asks each
+        # column for mask d_i, which is there from the start, and builds none.
+        # Z/4093 with 3 lines on the generator 1 has one monomial at the top
+        # degree and is not Gorenstein: the walk builds one mask per column
+        # for it, by translation past the ASCII range, and sweeps none.
         ring = build_fiber_ring(elementary_lines(random.Random(71), 12, 1))
         assert ring.dimension == 4096 and ring.degrees.itemsize == 1
         assert hilbert_numerator(copy.copy(ring)).coefficients[-1] >= 2
         assert len(list(islice(socle_basis(ring), 2))) == 2
         assert not hilbert_palindromic(ring)
         assert "tally" not in ring.__dict__
+        assert [dict(at) for at in ring.thresholds] == [{2: 0}] * 13
         gorenstein = build_fiber_ring(elementary_lines(random.Random(71), 12, 0))
         assert len(list(islice(socle_basis(gorenstein), 2))) == 1
         assert hilbert_palindromic(gorenstein)
         assert "tally" in gorenstein.__dict__
+        assert [dict(at) for at in gorenstein.thresholds] == [{2: 0}] * 12
+        C = AbelianGroup((4093,))
+        wide = build_fiber_ring(validate(CombinatorialData(
+            C, tuple(BranchDatum(C.element((1,)), a) for a in (1, 975, 2428)))))
+        assert len(list(islice(socle_basis(wide), 2))) == 2
+        assert [len(at) for at in wide.thresholds] == [2] * 3
+        assert not any(0 in at for at in wide.thresholds)
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(("random", "cyclic", "wide", "empty")))
+    def test_thresholds_match_the_definition(self, seed, source):
+        # Mask v of column i is the set of indices k with alpha_i(k) >= v,
+        # index k at bit n - 1 - k.  The rings fall on both sides of
+        # d_i = 128, and every mask is asked for in a drawn order, so the
+        # first request of a wide column is translated and the rest come
+        # from its sweep, while a column of d_i <= 128 translates each.
+        rng = random.Random(seed)
+        if source == "random":
+            rings = [build_fiber_ring(random_total_data(rng, max_order=256))]
+        elif source == "cyclic":
+            rings = [build_fiber_ring(cyclic_lines(rng, rng.randint(120, 300), rng.randint(1, 3)))]
+        elif source == "wide":
+            rings = [build_fiber_ring(data) for data in wide_order_data()]
+        else:
+            rings = [build_fiber_ring(validate(CombinatorialData(AbelianGroup(()), ())))]
+        for ring in rings:
+            assert len(ring.thresholds) == len(ring.orders)
+            for i, (at, d) in enumerate(zip(ring.thresholds, ring.orders)):
+                values = list(range(1, d + 1))
+                rng.shuffle(values)
+                for v in values:
+                    bits = "".join("1" if alpha[i] >= v else "0" for alpha in ring.alphas)
+                    assert at[v] == int(bits, 2)
+                # The sweep is the one builder of mask 0.
+                assert (0 in at) == (d > 128)
 
     def test_degrees_match_sums(self):
         # The fields are the narrowest that hold the top degree: 8 bits on
@@ -466,16 +509,33 @@ class TestSocle:
 
     def test_large_socle_is_fast(self):
         # The socle pass pays per socle vector, so rings whose socle is most
-        # of the ring are its slowest shape: (Z/2)^12 with 30 and 42 lines.
-        for extra, size in ((18, 3143), (30, 4047)):
-            data = elementary_lines(random.Random(61), 12, extra)
+        # of the ring are its slowest shape: (Z/2)^12 with 30 and 42 lines,
+        # whose columns translate their one mask, and Z/4096 with 17 lines
+        # on the generator 1, whose columns pass the ASCII range and are
+        # swept.  Z/4099 with 3 lines on the generator 1, just past the
+        # fiber bound, translates each mask its walk asks for and sweeps no
+        # column; its product table asks for every mask, and sweeps each
+        # column.  A swept column is the one that holds mask 0.
+        cyclic = [
+            validate(CombinatorialData(C, tuple(BranchDatum(C.element((1,)), a) for a in chars)))
+            for C, chars in ((AbelianGroup((4096,)), range(1, 34, 2)),
+                             (AbelianGroup((4099,)), (1, 975, 2428)))]
+        cases = [(elementary_lines(random.Random(61), 12, extra), size, 0.3, False)
+                 for extra, size in ((18, 3143), (30, 4047))]
+        cases += [(cyclic[0], 3697, 1.0, True), (cyclic[1], 117, 1.0, False)]
+        for data, size, bound, swept in cases:
             best = float("inf")
             for _ in range(3):
                 start = perf_counter()
-                basis = list(socle_basis(build_fiber_ring(data)))
+                ring = build_fiber_ring(data, order_limit=8192)
+                basis = list(socle_basis(ring))
                 best = min(best, perf_counter() - start)
             assert len(basis) == size
-            assert best < 0.3, f"build and socle took {best:.3f} s with {data.size} lines"
+            assert best < bound, f"build and socle took {best:.3f} s with {data.size} lines"
+            assert [0 in at for at in ring.thresholds] == [swept] * data.size
+        # The last ring is Z/4099; row 0 is the identity's: w_0 * w_j = w_j.
+        assert next(ring.product_rows(range(ring.dimension), None)) == list(range(4099))
+        assert [0 in at for at in ring.thresholds] == [True] * 3
 
     def test_wide_orders(self):
         for data in wide_order_data():
