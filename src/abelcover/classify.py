@@ -101,11 +101,13 @@ class ClassificationReport(_Frozen):
 
 def gorenstein_lift(data: CombinatorialData) -> Character | None:
     """A character chi of the ambient group restricting to every psi_i
-    (chi(g_i) = a_i/d_i), or None.  The point is Gorenstein exactly when such
-    a lift exists.  Deterministic: the lexicographically smallest lift is
-    returned when several exist (only possible for non-surjective data)."""
+    (chi(g_i) = a_i/d_i, with d_i the stored BranchDatum.order), or None.
+    The point is Gorenstein exactly when such a lift exists.  Deterministic:
+    the lexicographically smallest lift is returned when several exist (only
+    possible for non-surjective data)."""
     return solve_character_congruences(
-        data.group, [(datum.generator, datum.char_residue) for datum in data.branch])
+        data.group,
+        [(datum.generator, datum.char_residue, datum.order) for datum in data.branch])
 
 
 def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> bool:

@@ -11,6 +11,7 @@ from .groups import (
     AbelianGroup,
     Element,
     _Frozen,
+    _diagonal,
     _fold_pivots,
     _hermite,
     _hermite_fold,
@@ -175,11 +176,14 @@ def sum_map(data: CombinatorialData) -> list[list[int]]:
     """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, (t_1, ..., t_s) |-> sum
     t_i * g_i, as the Hermite basis (_hermite) of its graph lattice in
     Z^r + Z^s: the span of the (g_i, e_i) and of diag(m_1, ..., m_r, d_1,
-    ..., d_s), with the G coordinates first."""
-    s = data.size
-    graph = [[*datum.generator.residues, *(int(i == j) for j in range(s))]
-             for i, datum in enumerate(data.branch)]
-    return _hermite(data.group.moduli + data.orders, graph)
+    ..., d_s), with the G coordinates first.  The graph rows are reduced, as
+    _hermite requires: the residues are, and the unit entry is 1 % d_i, which
+    is 0 for a trivial generator of unvalidated data."""
+    r, orders = data.group.rank, data.orders
+    graph = _diagonal(r + data.size, r, [1 % d for d in orders])
+    for row, datum in zip(graph, data.branch):
+        row[:r] = datum.generator.residues
+    return _hermite(data.group.moduli + orders, graph)
 
 
 class SumMapPresentation(_Frozen):

@@ -387,8 +387,8 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     i, so each socle vector costs s whole-ring operations, and its
     exponents are read as ord(columns[i][k]).  Since the socle vectors of
     one degree cover nothing of that degree, their masks are asked for
-    after the level's scan: a walk stopped after two vectors of the top
-    degree asks for none.
+    after the level's scan, and ring.thresholds is first read there: a walk
+    stopped after two vectors of the top degree reads neither.
 
     >>> from abelcover import AbelianGroup, BranchDatum, CombinatorialData, validate
     >>> G = AbelianGroup((2, 2, 2))
@@ -399,7 +399,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     [(1, 1, 1)]
     """
     n = ring.dimension
-    columns, thresholds = ring.columns, ring.thresholds
+    columns = ring.columns
     everyone = (1 << n) - 1
     covered, snapshot = 0, "0" * n
     for degree in ring.levels:
@@ -410,6 +410,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
                 yield ring.character(k)
         if not found:
             continue
+        thresholds = ring.thresholds
         for k in found:
             above = 0
             for column, at in zip(columns, thresholds):

@@ -28,8 +28,18 @@ class LimitExceeded(Exception):
 # Integer matrices (lists of rows of ints)
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _diagonal(n: int, start: int, values) -> list[list[int]]:
+    """The rows of an n-column matrix whose row i is values[i] at column
+    start + i and zero elsewhere.  The identity is _diagonal(n, 0, [1] * n),
+    diag(moduli) is _diagonal(r, 0, moduli), and the unit rows of a graph
+    lattice start at its first unit column.  Each row is a fresh [0] * n
+    with one entry set."""
+    rows = []
+    for k, x in enumerate(values, start):
+        row = [0] * n
+        row[k] = x
+        rows.append(row)
+    return rows
 
 
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -48,8 +58,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows must all have the same length")
-    U = _identity(m)
-    V = _identity(n)
+    U = _diagonal(m, 0, [1] * m)
+    V = _diagonal(n, 0, [1] * n)
     D = A
 
     def swap_rows(i: int, j: int) -> None:
@@ -338,14 +348,18 @@ def _hermite(moduli: tuple[int, ...], vectors) -> list[list[int]]:
     the vectors generate in Z/m_1 + ... + Z/m_r has order
     prod(m) / prod(pivots).
 
-    The rows start as diag(moduli), and each vector, reduced mod the
-    moduli, is folded in by _hermite_fold.  Since m_k e_k stays in the
-    lattice, (m_k / p_k) * row, the element that a Howell form over Z/m
-    must add, is spanned by the rows past k, so the pivots give the
-    subgroup order."""
-    rows = [[m if j == k else 0 for j in range(len(moduli))] for k, m in enumerate(moduli)]
+    Every vector must be reduced mod the moduli, 0 <= v_j < m_j, as
+    _hermite_fold requires; nothing here reduces it again.  Element
+    residues are reduced, and so are the graph rows that sum_map and
+    solve_character_congruences build.
+
+    The rows start as diag(moduli), and each vector is folded in by
+    _hermite_fold.  Since m_k e_k stays in the lattice, (m_k / p_k) * row,
+    the element that a Howell form over Z/m must add, is spanned by the rows
+    past k, so the pivots give the subgroup order."""
+    rows = _diagonal(len(moduli), 0, moduli)
     for v in vectors:
-        rows = _hermite_fold(moduli, rows, [x % m for x, m in zip(v, moduli)])
+        rows = _hermite_fold(moduli, rows, v)
     return rows
 
 
@@ -366,7 +380,14 @@ def _hermite_fold(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) 
     column k, m_j e_j included.  The new pivot g divides p, so it divides
     m_k, and it is below m_k since 0 < q < m_k, so the reduction leaves it
     alone.  After the last column v is zero, and the rows are a triangular
-    basis of the larger lattice."""
+    basis of the larger lattice.
+
+    The fold ends as soon as a gcd step leaves v zero.  That loses nothing:
+    a column whose entry of v is zero is skipped, so with v zero every later
+    column would be skipped and its row kept as it is.  This is the common
+    case of a line that opens a fresh pivot: the row is still m_k e_k, so
+    past column k v becomes (m_k/g) * v, which is zero when every later m_j
+    divides m_k/g, as over (Z/p)^r."""
     rows = list(rows)
     for k, h in enumerate(rows):
         if not v[k]:
@@ -378,6 +399,8 @@ def _hermite_fold(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) 
                 [(x * p + y * q) % m for p, q, m in zip(h, v, moduli)],
                 [(a * q - b * p) % m for p, q, m in zip(h, v, moduli)],
             )
+            if not any(v):
+                break
         else:
             b = v[k] // h[k]
             v = [(q - b * p) % m for p, q, m in zip(h, v, moduli)]
@@ -406,42 +429,45 @@ def _fold_pivots(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) -
 
 
 def solve_character_congruences(group: AbelianGroup, constraints) -> Character | None:
-    """A character chi of `group` with chi(g) = a/ord(g) in Q/Z for every
-    (g, a) constraint, or None when no such character exists.
+    """A character chi of `group` with chi(g) = a/d in Q/Z for every
+    (g, a, d) constraint, or None when no such character exists.  d is
+    ord(g), which the caller already holds: gorenstein_lift passes the
+    stored BranchDatum.order, so no order is computed here.
 
-    The congruences sum_j c_j g_j / m_j = a / ord(g) (mod 1) are cleared to
+    The congruences sum_j c_j g_j / m_j = a / d (mod 1) are cleared to
     the group exponent L: M c = b (mod L), one row per constraint.  The
     graph vectors v_j = (M e_j, e_j) in (Z/L)^k + G span {(M c, c)}, and one
     Hermite basis of them under the moduli (L,)*k + (m_1, ..., m_r) is a
     triangular basis of span(graph, diag(moduli)) (see _hermite), so
-    reduction through it decides membership.  Reducing (b, 0) through the
-    first k rows succeeds exactly when b lies in the image of M, and leaves
-    (0, -c) for a solution c.  Rows k, ... are zero on the first k
+    reduction through it decides membership.  The graph is reduced, as
+    _hermite requires: an entry g_j (L / m_j) of M is below L since
+    g_j < m_j, and e_j is reduced since m_j >= 2.  Reducing (b, 0) through
+    the first k rows succeeds exactly when b lies in the image of M, and
+    leaves (0, -c) for a solution c.  Rows k, ... are zero on the first k
     coordinates, and since every pivot is positive they span all of
     {(0, c) : M c = 0 (mod L)}, the homogeneous solutions.  Reducing c
     against them one coordinate at a time (x_j mod pivot_j) gives the
     lexicographically smallest solution, so the output is deterministic.
     A solution is checked against every constraint before it is returned,
     as chi(g) = sum_j c_j (L / m_j) g_j mod L against the cleared target
-    b, with the weights c_j (L / m_j) and each ord(g) computed once.
+    b, with the weights c_j (L / m_j) computed once.
     A None is not re-checked by enumerating G: classify compares it with
     three independent Gorenstein routes, which catch a missed solution.
     """
     constraints = list(constraints)
     r = group.rank
-    if any(g.group != group for g, _ in constraints):
+    if any(g.group != group for g, _, _ in constraints):
         raise ValueError("constraint element of a different group")
     if not constraints or r == 0:
         return group.trivial_character()
 
     L = group.exponent
     k = len(constraints)
-    b = [(a * (L // g.order())) % L for g, a in constraints]
+    b = [(a * (L // d)) % L for _, a, d in constraints]
     moduli = (L,) * k + group.moduli
-    graph = [
-        [g.residues[j] * (L // m) % L for g, _ in constraints] + [int(i == j) for i in range(r)]
-        for j, m in enumerate(group.moduli)
-    ]
+    graph = _diagonal(k + r, k, [1] * r)
+    for j, (row, m) in enumerate(zip(graph, group.moduli)):
+        row[:k] = [g.residues[j] * (L // m) for g, _, _ in constraints]
     rows = _hermite(moduli, graph)
     x = b + [0] * r
     for t in range(k):
@@ -455,7 +481,7 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
         residues = [a - q * h for a, h in zip(residues, row[k:])]
     chi = group.character(residues)
     weights = [c * (L // m) for c, m in zip(chi.residues, group.moduli)]
-    for (g, _), target in zip(constraints, b):
+    for (g, _, _), target in zip(constraints, b):
         if sum(map(mul, weights, g.residues)) % L != target:
             raise ArithmeticError("congruence solver produced a bad solution")
     return chi

@@ -102,6 +102,40 @@ def assert_snf_contract(A, U, D, V):
         assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
 
 
+def reference_hermite(moduli, vectors) -> list[list[int]]:
+    """The Hermite basis of `vectors` and diag(moduli), as the package first
+    built it: each vector reduced mod the moduli, then folded over every
+    column, with the same Bezout steps.  It pins the exact rows of the fast
+    fold, which builds its diagonal otherwise, expects reduced vectors and
+    stops once the vector vanishes."""
+
+    def xgcd(a, b):
+        x0, y0, x1, y1 = 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        return a, x0, y0
+
+    rows = [[m if j == k else 0 for j in range(len(moduli))] for k, m in enumerate(moduli)]
+    for v in vectors:
+        v = [x % m for x, m in zip(v, moduli)]
+        for k, h in enumerate(rows):
+            if not v[k]:
+                continue
+            if v[k] % h[k]:
+                g, x, y = xgcd(h[k], v[k])
+                a, b = h[k] // g, v[k] // g
+                rows[k], v = (
+                    [(x * p + y * q) % m for p, q, m in zip(h, v, moduli)],
+                    [(a * q - b * p) % m for p, q, m in zip(h, v, moduli)],
+                )
+            else:
+                b = v[k] // h[k]
+                v = [(q - b * p) % m for p, q, m in zip(h, v, moduli)]
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Enumeration oracles
 

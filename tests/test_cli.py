@@ -694,6 +694,11 @@ class TestGolden:
     generators whose multiplier is not 1: one fixed at its first nonzero
     coordinate with a nonzero one after it, one fixed at the second
     coordinate after a first of lower order, and one fixed at the last.
+    Two kernel-large documents (benchmark seed 1) pin the Hermite fold
+    exactly: (Z/5)^3 with 12 lines (`factor` and `classify --json`; 9
+    kernel generator lines, folds that divide into pivots already opened)
+    and Z/100003 + Z/6 with 2 lines (`classify --json`; the lift at
+    L = 600018).
     The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 

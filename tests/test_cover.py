@@ -32,6 +32,8 @@ from helpers import (
     prime_lines,
     random_data,
     random_group,
+    random_total_data,
+    reference_hermite,
     single_datum_z105,
     z2cubed_data,
     z3sq_gorenstein,
@@ -207,6 +209,15 @@ class TestCanonical:
         assert elapsed < 0.005, f"validate took {elapsed * 1e3:.2f} ms"
 
 
+def graph_hermite(data):
+    """The reference basis of the graph lattice of the sum map: rows
+    (g_i, e_i) under the moduli of G and H, reduced by the reference."""
+    s = data.size
+    graph = [[*datum.generator.residues, *(int(i == j) for j in range(s))]
+             for i, datum in enumerate(data.branch)]
+    return reference_hermite(data.group.moduli + data.orders, graph)
+
+
 class TestSumMap:
     """The Hermite basis of the graph lattice of nu in G + H."""
 
@@ -241,6 +252,18 @@ class TestSumMap:
         r = data.group.rank
         assert prod(row[k] for k, row in enumerate(rows[:r])) == (
             data.group.order // len(brute_image(data)))
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_rows_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        data = random_total_data(rng, max_order=512, max_branch=5)
+        assert sum_map(data) == graph_hermite(data)
+
+    def test_trivial_generator_of_unvalidated_data(self):
+        # d = 1 makes the unit entry 1 % 1 = 0, reduced as _hermite asks.
+        data = CombinatorialData.from_residues((4, 2), [((0, 0), 0), ((1, 1), 1), ((2, 0), 1)])
+        assert data.orders == (1, 4, 2)
+        assert sum_map(data) == graph_hermite(data)
 
 
 class TestKernelK:

@@ -307,7 +307,7 @@ class TestFiberRing:
     def test_top_level_settles_without_a_tally(self):
         # Two monomials at the top degree settle both fiber routes: the
         # walk stops after two yields and the palindrome test after one
-        # level, and neither counts the tally nor builds a mask.  A
+        # level, and neither counts the tally nor reads the masks.  A
         # Gorenstein ring has one monomial there, so its palindrome test
         # counts the whole numerator.  Its one socle vector is (d_i - 1),
         # since every exponent of column i occurs, so the walk asks each
@@ -320,7 +320,7 @@ class TestFiberRing:
         assert hilbert_numerator(copy.copy(ring)).coefficients[-1] >= 2
         assert len(list(islice(socle_basis(ring), 2))) == 2
         assert not hilbert_palindromic(ring)
-        assert "tally" not in ring.__dict__
+        assert "tally" not in ring.__dict__ and "thresholds" not in ring.__dict__
         assert [dict(at) for at in ring.thresholds] == [{2: 0}] * 13
         gorenstein = build_fiber_ring(elementary_lines(random.Random(71), 12, 0))
         assert len(list(islice(socle_basis(gorenstein), 2))) == 1

@@ -23,8 +23,10 @@ from abelcover import (
     ramification_factorization,
     smith_normal_form,
     solve_character_congruences,
+    sum_map,
     validate,
 )
+import abelcover.cover
 import abelcover.groups
 from abelcover.cli import EXIT_INTERNAL, ExampleEntry, main, parse_input
 from abelcover.groups import _fold_pivots, _hermite, _hermite_fold, closure
@@ -39,7 +41,9 @@ from helpers import (
     elements_of,
     identity,
     lex_least_in_coset,
+    random_data,
     random_group,
+    reference_hermite,
 )
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -219,7 +223,8 @@ class TestHermite:
         if prod(moduli) > 4096:
             return
         rng = random.Random(seed)
-        self.check(tuple(moduli), [[rng.randrange(-m, 2 * m) for m in moduli]
+        # Drawn past [0, m) and reduced, as _hermite requires.
+        self.check(tuple(moduli), [[rng.randrange(-m, 2 * m) % m for m in moduli]
                                    for _ in range(rng.randint(0, 4))])
 
     @given(st.data())
@@ -241,6 +246,69 @@ class TestHermite:
             assert pivots == prod(row[k] for k, row in enumerate(rows))
             self.check(moduli, vectors[:t + 1], rows)
         assert rows == _hermite(moduli, vectors)
+
+    @given(st.data())
+    def test_rows_match_the_reference(self, data):
+        # The fold expects reduced vectors and stops once its vector
+        # vanishes; its rows must still be the reference's, to the bit.
+        shape = data.draw(st.sampled_from(("coordinates", "prime", "composite")))
+        if shape == "coordinates":
+            # (Z/2)^r with the coordinate lines and the diagonal, in any
+            # order: a line that opens a fresh pivot stops there.
+            r = data.draw(st.integers(min_value=1, max_value=12))
+            moduli = (2,) * r
+            lines = [[int(i == j) for j in range(r)] for i in range(r)] + [[1] * r]
+            vectors = data.draw(st.permutations(lines))
+        elif shape == "prime":
+            # (Z/p)^3 with up to 12 lines: most folds divide by a pivot
+            # that an earlier line opened.
+            p = data.draw(st.sampled_from((2, 3, 5, 7, 101, 10007)))
+            moduli = (p,) * 3
+            vectors = data.draw(st.lists(
+                st.lists(st.integers(min_value=0, max_value=p - 1), min_size=3, max_size=3),
+                max_size=12))
+        else:
+            # Composite moduli: a gcd step can leave a nonzero vector.
+            moduli = tuple(data.draw(st.lists(
+                st.sampled_from((4, 6, 8, 9, 12, 16, 36)), min_size=1, max_size=4)))
+            vectors = data.draw(st.lists(
+                st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in moduli)).map(list),
+                max_size=6))
+        assert _hermite(moduli, vectors) == reference_hermite(moduli, vectors)
+
+    def test_callers_pass_reduced_vectors(self, monkeypatch):
+        # The fold reduces no vector it is handed: the presentation, the
+        # support walk and the lift must hand it reduced ones.
+        def check(moduli, v):
+            assert len(v) == len(moduli)
+            assert all(0 <= x < m for x, m in zip(v, moduli)), (moduli, v)
+
+        real_hermite, real_fold = abelcover.groups._hermite, abelcover.groups._hermite_fold
+        real_pivots = abelcover.groups._fold_pivots
+
+        def hermite(moduli, vectors):
+            vectors = list(vectors)
+            for v in vectors:
+                check(moduli, v)
+            return real_hermite(moduli, vectors)
+
+        def fold(moduli, rows, v):
+            check(moduli, v)
+            return real_fold(moduli, rows, v)
+
+        def pivots(moduli, rows, v):
+            check(moduli, v)
+            return real_pivots(moduli, rows, v)
+
+        for module in (abelcover.groups, abelcover.cover):
+            monkeypatch.setattr(module, "_hermite", hermite)
+            monkeypatch.setattr(module, "_hermite_fold", fold)
+            monkeypatch.setattr(module, "_fold_pivots", pivots)
+        rng = random.Random(23)
+        for _ in range(40):
+            classify(random_data(rng, random_group(rng, max_order=512), max_branch=5, max_H=5000))
+        # Unvalidated data with a trivial generator: its unit entry is 1 % 1.
+        sum_map(CombinatorialData.from_residues((4, 2), [((0, 0), 0), ((1, 1), 1)]))
 
 
 class TestCharacters:
@@ -303,21 +371,21 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((2, 2, 2))
         e1, e2, e3 = G.generators()
         chi = solve_character_congruences(
-            G, [(e1, 1), (e2, 1), (e3, 1), (e1 + e2 + e3, 1)])
+            G, [(e1, 1, 2), (e2, 1, 2), (e3, 1, 2), (e1 + e2 + e3, 1, 2)])
         assert chi == G.character((1, 1, 1))
 
     def test_contradiction(self):
         G = AbelianGroup((3,))
         one = G.element((1,))
         assert solve_character_congruences(
-            G, [(one, 1), (one, 2)]) is None
+            G, [(one, 1, 3), (one, 2, 3)]) is None
 
     def test_lex_minimal_choice(self):
         # Constraining only the second coordinate leaves the first free:
         # the returned character must zero it.
         G = AbelianGroup((4, 4))
         g = G.element((0, 1))
-        chi = solve_character_congruences(G, [(g, 1)])
+        chi = solve_character_congruences(G, [(g, 1, 4)])
         assert chi == G.character((0, 1))
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -339,7 +407,7 @@ class TestSolveCharacterCongruences:
                 g = G.element([rng.randrange(m) for m in moduli])
                 constraints.append((g, rng.randrange(g.order())))
         solutions = brute_character_solutions(G, constraints)
-        found = solve_character_congruences(G, constraints)
+        found = solve_character_congruences(G, [(g, a, g.order()) for g, a in constraints])
         if not solutions:
             assert found is None
         else:
@@ -356,7 +424,7 @@ class TestSolveCharacterCongruences:
         elements = [G.element([rng.randrange(m) for m in G.moduli])
                     for _ in range(rng.randint(1, 3))]
         found = solve_character_congruences(
-            G, [(g, int(character_value(hidden, g) * g.order())) for g in elements])
+            G, [(g, int(character_value(hidden, g) * g.order()), g.order()) for g in elements])
         homogeneous = brute_character_solutions(G, [(g, 0) for g in elements])
         assert found.residues == lex_least_in_coset(
             G.moduli, hidden.residues, [chi.residues for chi in homogeneous])
@@ -368,7 +436,7 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((p, p, p))
         g = G.element((5, 7, 11))
         start = perf_counter()
-        chi = solve_character_congruences(G, [(g, 1)])
+        chi = solve_character_congruences(G, [(g, 1, p)])
         elapsed = perf_counter() - start
         # Per coordinate, the least value that leaves sum c_j g_j = 1 (mod p)
         # solvable in the coordinates after it.
@@ -387,18 +455,18 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((p,) * r)
         hidden = G.character([rng.randrange(p) for _ in range(r)])
         elements = [G.element([rng.randrange(p) for _ in range(r)]) for _ in range(2 * r)]
-        constraints = [(g, int(character_value(hidden, g) * g.order())) for g in elements]
+        constraints = [(g, int(character_value(hidden, g) * g.order()), g.order()) for g in elements]
         start = perf_counter()
         chi = solve_character_congruences(G, constraints)
         elapsed = perf_counter() - start
         assert chi is not None
-        assert all(character_value(chi, g) == Fraction(a, g.order()) % 1
-                   for g, a in constraints)
+        assert all(character_value(chi, g) == Fraction(a, d) % 1
+                   for g, a, d in constraints)
         assert elapsed < 0.05, f"solvable solve took {elapsed:.3f} s"
 
-        g, a = constraints[0]
+        g, a, d = constraints[0]
         start = perf_counter()
-        chi = solve_character_congruences(G, constraints + [(g, (a + 1) % g.order())])
+        chi = solve_character_congruences(G, constraints + [(g, (a + 1) % d, d)])
         elapsed = perf_counter() - start
         assert chi is None
         assert elapsed < 0.05, f"unsolvable solve took {elapsed:.3f} s"
@@ -437,7 +505,8 @@ class TestSolveCharacterCongruences:
         for moduli in ((3,), (4, 2), (8, 8, 8)):
             G = AbelianGroup(moduli)
             g = G.element((1,) * len(moduli))
-            assert solve_character_congruences(G, [(g, 1), (g, 2)]) is None
+            d = g.order()
+            assert solve_character_congruences(G, [(g, 1, d), (g, 2, d)]) is None
 
     def test_bad_solution_is_caught(self, monkeypatch):
         # A Hermite basis with unit pivots reduces every particular solution
@@ -446,7 +515,7 @@ class TestSolveCharacterCongruences:
             [int(i == j) for j in range(len(moduli))] for i in range(len(moduli))])
         G = AbelianGroup((4, 2))
         with pytest.raises(ArithmeticError, match="congruence solver produced a bad solution"):
-            solve_character_congruences(G, [(G.element((1, 1)), 1)])
+            solve_character_congruences(G, [(G.element((1, 1)), 1, 4)])
 
 
 def _zpqr(v: int) -> CombinatorialData:
