@@ -9,13 +9,13 @@ subgroup extend to the whole group."""
 from __future__ import annotations
 
 from itertools import islice
-from math import lcm
 
 from .groups import Character, LimitExceeded, _Frozen, solve_character_congruences
 from .cover import (
     CombinatorialData,
     KernelDescription,
     kernel_K,
+    psi_weights,
     ramification_factorization,
 )
 from .fiber import (
@@ -113,10 +113,9 @@ def gorenstein_lift(data: CombinatorialData) -> Character | None:
 def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> bool:
     """SL test on the kernel: the fiber is Gorenstein iff the determinant of
     the diagonal K-action is trivial, i.e. sum_i t_i a_i / d_i is an integer
-    on every kernel generator (t_1, ..., t_s)."""
-    orders = data.orders
-    L = lcm(*orders)
-    weights = [datum.char_residue * (L // datum.order) for datum in data.branch]
+    on every kernel generator (t_1, ..., t_s), read through psi_weights as
+    sum_i t_i w_i = 0 mod L."""
+    L, weights = psi_weights(data)
     return all(
         sum(t * w for t, w in zip(gen.residues, weights)) % L == 0
         for gen in kernel.generators

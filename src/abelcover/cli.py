@@ -456,10 +456,8 @@ def cmd_validate(doc: CombinatorialData) -> tuple[str, int]:
 
 def cmd_classify(doc: CombinatorialData, *, as_json: bool = False,
                  fiber_order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
-    """The report on the validated document, as text or as JSON.  The JSON
-    comes from report_json, which writes json.dumps' indent=2 layout by
-    hand: json.dumps with an indent runs the pure-Python encoder, slow and
-    leaving reference cycles behind on every call."""
+    """The report on the validated document, as text (render_report) or as
+    JSON (report_json)."""
     _check_max_order(fiber_order_limit)
     data = validate(doc)
     report = classify(data, fiber_order_limit=fiber_order_limit)

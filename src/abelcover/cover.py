@@ -4,7 +4,7 @@ presentation of the sum map that carries its kernel and the totally-ramified
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import groups
 from .groups import (
@@ -105,6 +105,15 @@ class CombinatorialData(_Frozen):
     @property
     def size(self) -> int:
         return len(self.branch)
+
+
+def psi_weights(data: CombinatorialData) -> tuple[int, list[int]]:
+    """The values psi_i(g_i) = a_i / d_i in Q/Z over one denominator, as
+    (L, [w_1, ..., w_s]) with L = lcm(d_1, ..., d_s) and w_i = a_i L / d_i.
+    An element t of H = Z/d_1 + ... + Z/d_s is killed by every psi_i
+    together, sum_i t_i a_i / d_i in Z, iff sum_i t_i w_i = 0 mod L."""
+    L = lcm(*data.orders)
+    return L, [datum.char_residue * (L // datum.order) for datum in data.branch]
 
 
 class ValidationIssue(_Frozen):

@@ -14,13 +14,13 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import accumulate, compress, islice, repeat
-from math import comb, lcm
-from operator import mul, or_
+from itertools import accumulate, combinations_with_replacement, compress, islice, repeat
+from math import comb
+from operator import mul, or_, sub
 
 from . import groups
 from .groups import AbelianGroup, Character, LimitExceeded, _Frozen
-from .cover import CombinatorialData, SumMapPresentation
+from .cover import CombinatorialData, SumMapPresentation, psi_weights
 
 #: Largest group order for which the fiber ring is materialized.  The ring
 #: holds one exponent per element of G and branch line, and
@@ -89,13 +89,12 @@ class FiberRing(_Frozen):
     (no __slots__): the total `degrees`, summed by build_fiber_ring for its
     totally-ramified check; and, on first use, `alphas[k]`, the exponent
     vector of index k, `codes[k]`, that vector packed into one integer,
-    `positions`, which maps the code back to k, the `tally` of the degrees,
-    the `levels` that the socle walk visits, and the `thresholds`, the one
-    source of the dominance masks that the socle walk and the product table
-    read.  Copies and pickles carry the fields only and rebuild the rest on
-    first use.  classify reads the columns and the degrees, never `alphas`;
-    it counts the tally only on rings with wider degree fields or one
-    monomial at the top degree."""
+    the `tally` of the degrees, the `levels` that the socle walk visits,
+    and the `thresholds`, the one source of the dominance masks that the
+    socle walk and the product table read.  Copies and pickles carry the
+    fields only and rebuild the rest on first use.  classify reads the
+    columns and the degrees, never `alphas`; it counts the tally only on
+    rings with wider degree fields or one monomial at the top degree."""
 
     _fields = ("group", "orders", "columns")
 
@@ -186,20 +185,16 @@ class FiberRing(_Frozen):
 
     @cached_property
     def codes(self) -> list[int]:
-        """alphas[k] as one integer in mixed radix 2*d_i - 1.  A coordinate
-        sum of two exponent vectors is at most 2*d_i - 2, so codes add
-        without carry, code(a) + code(b) = code(a + b), and a sum with an
-        overflowing coordinate is the code of no exponent vector of the
-        ring.  Built on the first product; classify never multiplies."""
+        """alphas[k] as one integer in mixed radix d_i, one-to-one on the
+        box 0 <= alpha_i < d_i.  product_rows adds two codes only when every
+        coordinate sum stays below its d_i, and then they add without
+        carry: code(a) + code(b) = code(a + b).  Built on the first
+        product; classify never multiplies."""
         weights, w = [], 1
         for d in self.orders:
             weights.append(w)
-            w *= 2 * d - 1
+            w *= d
         return [sum(map(mul, a, weights)) for a in self.alphas]
-
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        return {c: k for k, c in enumerate(self.codes)}
 
     @property
     def dimension(self) -> int:
@@ -222,17 +217,9 @@ class FiberRing(_Frozen):
         k = self.index(chi)
         return tuple(ord(column[k]) for column in self.columns)
 
-    def product_index(self, i: int, j: int) -> int | None:
-        """Index of w_i * w_j in the basis, or None for the zero product.
-
-        Without overflow the sum of the exponent vectors is the exponent
-        vector of the product; with overflow it leaves the box, where no
-        exponent vector of the ring lies."""
-        return self.positions.get(self.codes[i] + self.codes[j])
-
     def product_rows(self, names: Iterable, zero) -> Iterator[list]:
         """The rows of the product table in index order: at row i, column j,
-        the name of product_index(i, j), or `zero` for the zero product.
+        the name of the index of w_i * w_j, or `zero` for the zero product.
         `names` gives one name per basis index.
 
         w_a * w_b != 0 exactly when alpha_t(a) + alpha_t(b) < d_t for every
@@ -260,8 +247,9 @@ class FiberRing(_Frozen):
             yield row
 
     def product_table(self) -> list[list[int | None]]:
-        """product_index(i, j) at row i, column j, built row by row by
-        product_rows: per nonzero product one add and one lookup."""
+        """The index of w_i * w_j, or None for the zero product, at row i,
+        column j, built row by row by product_rows: per nonzero product one
+        add and one lookup."""
         return list(self.product_rows(range(self.dimension), None))
 
 
@@ -468,23 +456,6 @@ def hilbert_palindromic(ring: FiberRing) -> bool:
     return len(top) == 1 and hilbert_numerator(ring).palindromic
 
 
-def _exponents_up_to(s: int, max_degree: int):
-    """All tuples in N^s with coordinate sum <= max_degree."""
-    if s == 0:
-        yield ()
-        return
-
-    def rec(prefix: tuple[int, ...], budget: int):
-        if len(prefix) == s - 1:
-            for last in range(budget + 1):
-                yield prefix + (last,)
-            return
-        for head in range(budget + 1):
-            yield from rec(prefix + (head,), budget - head)
-
-    yield from rec((), max_degree)
-
-
 def invariant_monomials_up_to_degree(
     data: CombinatorialData,
     max_degree: int = DEFAULT_HILBERT_DEGREE,
@@ -494,8 +465,16 @@ def invariant_monomials_up_to_degree(
     """All exponent vectors of K-invariant monomials of total degree up to
     `max_degree`, by direct evaluation against the kernel generators of the
     presentation of `data`: alpha is invariant iff sum_i alpha_i t_i a_i / d_i
-    is an integer for every kernel generator (t_1, ..., t_s).  Sorted by
-    degree, then lexicographically."""
+    is an integer for every kernel generator (t_1, ..., t_s), that is, iff
+    sum_i alpha_i (t_i w_i mod L) = 0 mod L with (L, w) = psi_weights(data).
+
+    The vectors are walked by stars and bars: each total degree from 0 up,
+    and within a degree every nondecreasing tuple of s - 1 cut points
+    0 <= c_1 <= ... <= c_{s-1} <= degree, in the lexicographic order of
+    combinations_with_replacement, which gives alpha_i = c_i - c_{i-1} with
+    c_0 = 0 and c_s = degree.  The prefix c_1, ..., c_k fixes
+    alpha_1, ..., alpha_k and grows with them, so the list comes out sorted
+    by degree, then lexicographically, with no sort."""
     s = data.size
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -507,16 +486,15 @@ def invariant_monomials_up_to_degree(
             f"enumerating exponents up to degree {max_degree} in {s} variables "
             f"exceeds the bound {limit}"
         )
-    orders = data.orders
-    L = lcm(*orders) if orders else 1
-    weights = [
-        [(k.residues[i] * data.branch[i].char_residue * (L // orders[i])) % L
-         for i in range(s)]
-        for k in presentation.kernel_gens
-    ]
+    if not s:
+        return [()]
+    L, weights = psi_weights(data)
+    rows = [[t * w % L for t, w in zip(k.residues, weights)] for k in presentation.kernel_gens]
     out = []
-    for alpha in _exponents_up_to(s, max_degree):
-        if all(sum(a * w for a, w in zip(alpha, row)) % L == 0 for row in weights):
-            out.append(alpha)
-    out.sort(key=lambda a: (sum(a), a))
+    for degree in range(max_degree + 1):
+        top = (degree,)
+        for cuts in combinations_with_replacement(range(degree + 1), s - 1):
+            alpha = tuple(map(sub, cuts + top, (0,) + cuts))
+            if all(sum(map(mul, alpha, row)) % L == 0 for row in rows):
+                out.append(alpha)
     return out

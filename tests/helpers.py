@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from operator import add, ge
 
 from abelcover import (
     AbelianGroup,
@@ -47,9 +48,28 @@ def characters_of(group: AbelianGroup):
         yield group.character(residues)
 
 
+def product_index(ring, i: int, j: int) -> int | None:
+    """Index of w_i * w_j in the basis of the fiber ring, or None for the
+    zero product: the index whose exponent vector is alpha(i) + alpha(j)
+    when every coordinate t of the sum stays below d_t, and zero when one
+    overflows, since no exponent vector of the ring lies outside the box."""
+    total = tuple(map(add, ring.alphas[i], ring.alphas[j]))
+    if any(map(ge, total, ring.orders)):
+        return None
+    if _basis[0] is not ring:
+        _basis[:] = ring, {alpha: k for k, alpha in enumerate(ring.alphas)}
+    return _basis[1][total]
+
+
+#: The last ring product_index read, and the basis index of each of its
+#: exponent vectors, held by identity: a ring hashes by its fields on every
+#: call.  Rings are immutable, so the entry is never stale.
+_basis: list = [None, {}]
+
+
 def ring_product(ring, chi: Character, chi2: Character) -> Character | None:
     """w_chi * w_chi2 in the fiber ring, as a character, or None for zero."""
-    idx = ring.product_index(ring.index(chi), ring.index(chi2))
+    idx = product_index(ring, ring.index(chi), ring.index(chi2))
     return None if idx is None else ring.character(idx)
 
 
@@ -257,14 +277,14 @@ def chain_law_oracle(data: CombinatorialData) -> bool:
 
 
 def naive_product_table(ring) -> list[list[int | None]]:
-    """ring.product_index at every cell, row by row."""
+    """product_index at every cell, row by row."""
     n = ring.dimension
-    return [[ring.product_index(i, j) for j in range(n)] for i in range(n)]
+    return [[product_index(ring, i, j) for j in range(n)] for i in range(n)]
 
 
 def naive_table_text(ring) -> str:
     """The product table that `fiber --table` prints after the basis,
-    formatted cell by cell from ring.product_index.  Every cell, and every
+    formatted cell by cell from product_index.  Every cell, and every
     column label, is right-aligned in w = max(4, digits of n - 1)
     characters and cells are separated by one space; a row starts with
     its index in w + 1 characters and a space, and the header with w + 2
@@ -276,7 +296,7 @@ def naive_table_text(ring) -> str:
     for i in range(n):
         cells = []
         for j in range(n):
-            k = ring.product_index(i, j)
+            k = product_index(ring, i, j)
             cells.append(("." if k is None else str(k)).rjust(w))
         lines.append(str(i).rjust(w + 1) + " " + " ".join(cells))
     return "\n".join(lines) + "\n"

@@ -89,6 +89,68 @@ def _random_report_data(seed: int) -> CombinatorialData:
     return random_data(rng, random_group(rng, max_order=96), max_branch=4)
 
 
+#: The commands the fuzzer drives, each on one document read from stdin.
+FUZZ_COMMANDS = (
+    ("validate",), ("classify",), ("classify", "--json"), ("factor",), ("socle",),
+    ("hilbert", "--max-degree", "6"), ("fiber",), ("fiber", "--table"),
+)
+
+#: Values of the wrong type for any field, and small integers out of range.
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.integers(min_value=-3, max_value=12), st.lists(st.integers(min_value=-2, max_value=9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=0, max_value=9), max_size=2),
+)
+
+
+def _valid_document(seed: int) -> str:
+    """A valid document: rank <= 3, |G| <= 128, at most 5 lines."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            data = random_data(rng, random_group(rng, max_order=128), min_branch=0, max_branch=5)
+        except RuntimeError:
+            continue
+        return json.dumps(data.to_json_dict())
+
+
+@st.composite
+def cover_documents(draw) -> dict:
+    """A small document of the right shape: rank <= 3, moduli <= 8, at most
+    5 lines.  The branch data need not validate."""
+    moduli = draw(st.lists(st.integers(min_value=2, max_value=8), max_size=3))
+    lines = draw(st.integers(min_value=0, max_value=5))
+    return {"group": moduli, "branch": [
+        {"generator": [draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli],
+         "character": draw(st.integers(min_value=1, max_value=9))}
+        for _ in range(lines)]}
+
+
+@st.composite
+def malformed_documents(draw) -> str:
+    """A document text with one defect: a field or a list entry of the
+    wrong type, a missing field, an unknown field, or the text cut short."""
+    doc = draw(cover_documents())
+    kind = draw(st.sampled_from(("junk", "entry", "missing", "unknown", "truncated")))
+    if kind == "truncated":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    objects = [doc, *doc["branch"]]
+    lists = [x for x in [doc["group"], *(line["generator"] for line in doc["branch"])] if x]
+    if kind == "entry" and lists:
+        entries = draw(st.sampled_from(lists))
+        entries[draw(st.integers(min_value=0, max_value=len(entries) - 1))] = draw(JUNK)
+    else:
+        target = draw(st.sampled_from(objects))
+        if kind == "missing":
+            del target[draw(st.sampled_from(sorted(target)))]
+        elif kind == "unknown":
+            target[draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in target))] = draw(JUNK)
+        else:
+            target[draw(st.sampled_from(sorted(target)))] = draw(JUNK)
+    return json.dumps(doc)
+
+
 class TestParseInput:
     def test_z2cubed(self):
         doc = parse_input(Z2CUBED_TEXT)
@@ -673,6 +735,30 @@ class TestMain:
             assert callable(owner.get(name)), f"{home}.{attr}"
 
 
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(min_value=0, max_value=10**6).map(_valid_document),
+                     cover_documents().map(json.dumps), malformed_documents()),
+           st.sampled_from(FUZZ_COMMANDS))
+    @example('{"group": [], "branch": []}', ("hilbert", "--max-degree", "6"))
+    @example("", ("classify", "--json"))
+    @example('{"group": [2, 2], "branch": [{"generator": [1, 0], "character": 1}], "x": 1}',
+             ("validate",))
+    def test_main_on_stdin(self, text, command):
+        """cli.main in-process on small documents: valid ones, well-formed
+        ones whose branch data need not validate, and malformed ones.  Every
+        run ends with exit 0, 1 or 2, raises nothing, and writes no
+        traceback.  No time bound is claimed here."""
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("sys.stdin", io.StringIO(text))
+            patch.setattr("sys.stdout", out)
+            patch.setattr("sys.stderr", err)
+            code = main(list(command))
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_LIMIT), (code, out.getvalue(), err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
 class TestGolden:
     """Byte-for-byte CLI output on fixed documents: the registry examples at
     their defaults, a partially ramified point (Z/105 with one line through
@@ -698,7 +784,10 @@ class TestGolden:
     exactly: (Z/5)^3 with 12 lines (`factor` and `classify --json`; 9
     kernel generator lines, folds that divide into pivots already opened)
     and Z/100003 + Z/6 with 2 lines (`classify --json`; the lift at
-    L = 600018).
+    L = 600018).  Two `hilbert` runs on (Z/2)^3 pin the listing's own
+    bound: `--max-degree 67` walks C(71, 4) = 971635 exponent vectors and
+    exits 0, and `--max-degree 68` passes DEFAULT_ENUMERATION_LIMIT and
+    exits 2 with the listing's `limit exceeded:` line.
     The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 

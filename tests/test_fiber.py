@@ -7,7 +7,7 @@ from itertools import islice, product
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abelcover import (
     AbelianGroup,
@@ -26,11 +26,13 @@ from abelcover.classify import gorenstein_lift
 from abelcover.fiber import hilbert_palindromic
 from helpers import (
     brute_discrete_log,
+    brute_kernel,
     character_value,
     characters_of,
     cyclic_lines,
     dual_numbers_data,
     elementary_lines,
+    product_index,
     random_data,
     random_group,
     random_total_data,
@@ -399,7 +401,7 @@ class TestFiberRing:
             table = ring.product_table()
             for i in range(n):
                 for j in range(n):
-                    k = ring.product_index(i, j)
+                    k = product_index(ring, i, j)
                     assert table[i][j] == k
                     eps = carries(ring, characters[i], characters[j])
                     if k is None:
@@ -702,6 +704,38 @@ class TestInvariantMonomials:
                     continue
                 reduced = tuple(a % d for a, d in zip(alpha, orders))
                 assert (alpha in members) == (reduced in alpha_set)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5),
+           st.integers(min_value=0, max_value=8))
+    @example(0, 0, 0)
+    @example(0, 3, 0)
+    def test_matches_sorted_brute_force(self, seed, s, max_degree):
+        """The listing equals a brute force that shares no weight code with
+        it: every alpha in [0, D]^s of degree <= D, kept when
+        sum_i alpha_i t_i a_i / d_i, summed in Fractions, is an integer for
+        every t of the enumerated kernel, and sorted by (degree, alpha).
+        s = 0 is the empty document; the data need not be totally
+        ramified."""
+        if s:
+            rng = random.Random(seed)
+            while True:
+                try:
+                    data = random_data(rng, random_group(rng, max_order=64),
+                                       min_branch=s, max_branch=s, max_H=600, tries=40)
+                    break
+                except RuntimeError:
+                    continue
+        else:
+            data = validate(CombinatorialData(AbelianGroup(()), ()))
+        psi = [[Fraction(t * datum.char_residue, datum.order) for t, datum in zip(k, data.branch)]
+               for k in brute_kernel(data)]
+        expected = sorted(
+            (alpha for alpha in product(range(max_degree + 1), repeat=s)
+             if sum(alpha) <= max_degree
+             and all(sum((a * x for a, x in zip(alpha, v)), Fraction(0)) % 1 == 0 for v in psi)),
+            key=lambda alpha: (sum(alpha), alpha))
+        assert monomials(data, max_degree) == expected
 
     def test_counts_match_series(self):
         rng = random.Random(53)
