@@ -45,27 +45,6 @@ SMOOTHNESS_ASSUMPTION = (
     "combinatorial data)"
 )
 
-#: Sketch of why each reason code decides the verdict, for report rendering.
-REASON_NOTES = {
-    REASON_LOCALLY_SIMPLE: "K = 0, so the fiber ring is a complete intersection",
-    REASON_NOT_GORENSTEIN: "complete intersections are Gorenstein, and this point is not",
-    REASON_RIGID_QUOTIENT: (
-        "every nonzero element of K moves >= 3 coordinates, so the quotient "
-        "singularity has codimension >= 3; such quotients are rigid "
-        "(Schlessinger) while singular complete intersections never are"
-    ),
-    REASON_A_TYPE_SURFACE: (
-        "a two-coordinate diagonal K inside SL(2) is cyclic acting by "
-        "(t, t^-1), an A-type hypersurface singularity"
-    ),
-    REASON_OPEN_CASE: "no known criterion settles this configuration",
-    REASON_LIMIT: (
-        "the exact minimal-support search needed for the rigidity test "
-        "exceeded its work bound"
-    ),
-}
-
-
 class CrossCheckError(RuntimeError):
     """The independent Gorenstein deciders disagreed; indicates a bug.
     `data` is the input they disagreed on, a ready-made reproducer."""
@@ -122,8 +101,13 @@ def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> b
     )
 
 
-def lci_classify(data: CombinatorialData, kernel: KernelDescription) -> tuple[str, str]:
-    """Complete-intersection verdict with its reason code.
+def lci_classify(
+    data: CombinatorialData, kernel: KernelDescription, gorenstein: bool
+) -> tuple[str, str]:
+    """Complete-intersection verdict with its reason code, a table over facts
+    the caller already holds: |K| and its minimal support from `kernel`, the
+    Gorenstein verdict from `gorenstein` (classify passes its cross-checked
+    SL test) and s from `data`.  It runs no decider.
 
     Decision table, applied in order:
       1. K = 0                      -> LCI      (locally-simple)
@@ -131,13 +115,19 @@ def lci_classify(data: CombinatorialData, kernel: KernelDescription) -> tuple[st
       3. min support of K >= 3      -> NotLCI   (rigid-quotient)
       4. s = 2 (Gorenstein here)    -> LCI      (A-type-surface)
       5. otherwise                  -> Unknown  (open-general-case)
-    Rules 3 and 4 are mutually exclusive (s = 2 caps supports at 2).  When
-    the minimal-support search passed its work bound and rule 3 cannot be
-    decided the verdict is Unknown with reason `limit`.
+    Row 1: the invariant ring is C[[z_1..z_s]] itself.  Row 2: complete
+    intersections are Gorenstein.  Row 3: every nonzero element of K moves
+    >= 3 coordinates, so the quotient has codimension >= 3 and is rigid
+    (Schlessinger), while a singular complete intersection never is.
+    Row 4: a two-coordinate diagonal K inside SL(2) is cyclic acting by
+    (t, t^-1), an A-type hypersurface.  Rules 3 and 4 are mutually
+    exclusive (s = 2 caps supports at 2).  When the minimal-support search
+    passed its work bound (min_support None) and rule 3 cannot be decided
+    the verdict is Unknown with reason `limit`.
     """
     if kernel.order == 1:
         return LCI, REASON_LOCALLY_SIMPLE
-    if not gorenstein_watanabe(data, kernel):
+    if not gorenstein:
         return NOT_LCI, REASON_NOT_GORENSTEIN
     if kernel.min_support is not None and kernel.min_support >= 3:
         return NOT_LCI, REASON_RIGID_QUOTIENT
@@ -168,10 +158,12 @@ def classify(
     2 and a numerator that is not palindromic, with no dominance mask built
     and, on one-byte degree fields, no tally counted.  The solver confirms
     a lift it finds but not the absence of one: a missed lift shows up
-    here, as a disagreement with the other routes.  When build_fiber_ring refuses the ring
-    (LimitExceeded: over `fiber_order_limit` or past its representation
-    caps), the fiber routes are recorded as skipped (None) rather than
-    aborting the report; the lift and SL routes always run.
+    here, as a disagreement with the other routes.  When build_fiber_ring
+    refuses the ring (LimitExceeded: over `fiber_order_limit` or past its
+    representation caps), the fiber routes are recorded as skipped (None)
+    rather than aborting the report; the lift and SL routes always run.
+    The lci table reads the cross-checked SL verdict, so the SL test runs
+    once.
     """
     presentation = ramification_factorization(data)
     kd = kernel_K(data, presentation)
@@ -193,7 +185,7 @@ def classify(
     if not checks.agree():
         raise CrossCheckError(f"Gorenstein deciders disagree: {checks}", data)
 
-    lci, lci_reason = lci_classify(data, kd)
+    lci, lci_reason = lci_classify(data, kd, watanabe)
     locally_simple = kd.order == 1
     # Smooth-conditional iff the sum map is injective (which covers the
     # unramified empty-data case), conditional on SMOOTHNESS_ASSUMPTION.

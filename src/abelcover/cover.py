@@ -238,9 +238,9 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
 
     When nu is not surjective, M ~ Z^s / (K + dZ^s) is presented abstractly
     through the Smith normal form U B V = D of the H block B, whose rows
-    span that lattice.  Right multiplication by V carries it onto the row
-    span of D, so each branch generator e_j moves to row j of V, reduced mod
-    the invariant factors.
+    span that lattice; only D and V are needed.  Right multiplication by V
+    carries it onto the row span of D, so each branch generator e_j moves
+    to row j of V, reduced mod the invariant factors.
     """
     rows = sum_map(data)
     r, orders = data.group.rank, data.orders
@@ -252,7 +252,7 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
 
     restricted = data
     if etale_index > 1:
-        _, D, V = smith_normal_form(block)
+        D, V = smith_normal_form(block)
         diag = [row[i] for i, row in enumerate(D)]
         if prod(diag) != image_order:
             raise ArithmeticError("image presentation disagrees with image order")
@@ -260,10 +260,11 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
         subgroup = AbelianGroup(tuple(diag[i] for i in kept))
         new_branch = []
         for j, datum in enumerate(data.branch):
-            moved = subgroup.element([V[j][i] % diag[i] for i in kept])
-            if moved.order() != datum.order:
+            moved = BranchDatum(
+                subgroup.element([V[j][i] % diag[i] for i in kept]), datum.char_residue)
+            if moved.order != datum.order:
                 raise ArithmeticError("generator order changed under restriction")
-            new_branch.append(BranchDatum(moved, datum.char_residue).canonical())
+            new_branch.append(moved.canonical())
         restricted = CombinatorialData(subgroup, tuple(new_branch))
     return SumMapPresentation(
         gens, source.order // image_order, image_order, etale_index, restricted)

@@ -42,30 +42,24 @@ def _diagonal(n: int, start: int, values) -> list[list[int]]:
     return rows
 
 
-def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix: returns (U, D, V) with U*A*V = D.
+def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Diagonalize an integer matrix A: returns (D, V) with D = U*A*V for
+    some square unimodular U, which is not built (no caller reads it).
 
-    U and V are square unimodular, D is diagonal with non-negative entries and
-    each diagonal entry divides the next.  Total on rectangular matrices,
+    V is square unimodular, D is diagonal with non-negative entries and each
+    diagonal entry divides the next.  Total on rectangular matrices,
     including empty ones.
 
-    >>> U, D, V = smith_normal_form([[2, 4], [6, 8]])
+    >>> D, V = smith_normal_form([[2, 4], [6, 8]])
     >>> [D[0][0], D[1][1]]
     [2, 4]
     """
-    A = [[int(x) for x in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if any(len(row) != n for row in A):
+    D = [[int(x) for x in row] for row in matrix]
+    m = len(D)
+    n = len(D[0]) if m else 0
+    if any(len(row) != n for row in D):
         raise ValueError("matrix rows must all have the same length")
-    U = _diagonal(m, 0, [1] * m)
     V = _diagonal(n, 0, [1] * n)
-    D = A
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i: int, j: int) -> None:
         if i != j:
@@ -76,7 +70,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
 
     def add_row(dst: int, src: int, c: int) -> None:
         D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def add_col(dst: int, src: int, c: int) -> None:
         for row in D:
@@ -92,12 +85,11 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        D[t], D[pivot[0]] = D[pivot[0]], D[t]
         swap_cols(t, pivot[1])
         while True:
             if D[t][t] < 0:
                 D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
             p = D[t][t]
             restart = False
             # Clear the pivot column; a nonzero remainder is a smaller pivot.
@@ -105,7 +97,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
                 if D[i][t]:
                     add_row(i, t, -(D[i][t] // p))
                     if D[i][t]:
-                        swap_rows(t, i)
+                        D[t], D[i] = D[i], D[t]
                         restart = True
                         break
             if restart:
@@ -128,7 +120,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
             if offender is None:
                 break
             add_row(t, offender, 1)
-    return U, D, V
+    return D, V
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,93 @@ def assert_snf_contract(A, U, D, V):
         assert b == 0 or (a != 0 and b % a == 0) or (a == 0 and b == 0)
 
 
+def reference_smith_normal_form(matrix):
+    """(U, D, V) with U*A*V = D, as the package first built it, row
+    transform U included.  The package now returns (D, V) only; this pins
+    them to the reference's and keeps the full U*A*V = D contract checked.
+    The one change from the original is the local identity builder."""
+
+    def _identity(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows must all have the same length")
+    U = _identity(m)
+    V = _identity(n)
+    D = A
+
+    def swap_rows(i: int, j: int) -> None:
+        if i != j:
+            D[i], D[j] = D[j], D[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        if i != j:
+            for row in D:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst: int, src: int, c: int) -> None:
+        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
+        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst: int, src: int, c: int) -> None:
+        for row in D:
+            row[dst] += c * row[src]
+        for row in V:
+            row[dst] += c * row[src]
+
+    for t in range(min(m, n)):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            if D[t][t] < 0:
+                D[t] = [-x for x in D[t]]
+                U[t] = [-x for x in U[t]]
+            p = D[t][t]
+            restart = False
+            # Clear the pivot column; a nonzero remainder is a smaller pivot.
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    add_row(i, t, -(D[i][t] // p))
+                    if D[i][t]:
+                        swap_rows(t, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if D[t][j]:
+                    add_col(j, t, -(D[t][j] // p))
+                    if D[t][j]:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # The pivot must divide the remaining submatrix (divisibility chain).
+            offender = None
+            for i in range(t + 1, m):
+                if any(D[i][j] % p for j in range(t + 1, n)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+    return U, D, V
+
+
 def reference_hermite(moduli, vectors) -> list[list[int]]:
     """The Hermite basis of `vectors` and diag(moduli), as the package first
     built it: each vector reduced mod the moduli, then folded over every

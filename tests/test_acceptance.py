@@ -16,6 +16,7 @@ from abelcover import (
     build_fiber_ring,
     classify,
     gorenstein_lift,
+    gorenstein_watanabe,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     kernel_K,
@@ -89,7 +90,7 @@ def test_criterion_2_zpqr_criterion_sweep():
                 failures.append(
                     f"({alpha},{beta}): gorenstein {cert is not None}, expected {expected}")
             if expected:
-                verdict = lci_classify(data, kd)
+                verdict = lci_classify(data, kd, gorenstein_watanabe(data, kd))
                 if verdict != (LCI, REASON_A_TYPE_SURFACE):
                     failures.append(f"({alpha},{beta}): lci verdict {verdict}")
             spot += 1

@@ -3,10 +3,13 @@ import sys
 from fractions import Fraction
 from time import perf_counter
 
+import pytest
+
 from abelcover import (
     AbelianGroup,
     BranchDatum,
     CombinatorialData,
+    KernelDescription,
     LCI,
     NOT_LCI,
     NOT_SMOOTH,
@@ -169,10 +172,44 @@ class TestGorensteinSocle:
 
 
 def lci_of(data):
-    return lci_classify(data, kernel_of(data))
+    kd = kernel_of(data)
+    return lci_classify(data, kd, gorenstein_watanabe(data, kd))
+
+
+def data_of_size(s):
+    """Unvalidated data with s lines; the lci table reads only their number."""
+    G = AbelianGroup((2,))
+    return CombinatorialData(G, tuple(BranchDatum(G.element((1,)), 1) for _ in range(s)))
+
+
+#: (|K|, min_support, gorenstein, s) -> verdict, one case per path through
+#: the table, including each pair of rules whose order matters.
+LCI_TABLE = [
+    ((1, None, True, 1), (LCI, REASON_LOCALLY_SIMPLE)),
+    ((1, None, True, 4), (LCI, REASON_LOCALLY_SIMPLE)),
+    ((1, None, False, 3), (LCI, REASON_LOCALLY_SIMPLE)),       # rule 1 before 2
+    ((2, 2, False, 2), (NOT_LCI, REASON_NOT_GORENSTEIN)),
+    ((2, 3, False, 3), (NOT_LCI, REASON_NOT_GORENSTEIN)),      # rule 2 before 3
+    ((2, None, False, 3), (NOT_LCI, REASON_NOT_GORENSTEIN)),   # rule 2 before limit
+    ((2, 3, True, 3), (NOT_LCI, REASON_RIGID_QUOTIENT)),
+    ((4, 4, True, 6), (NOT_LCI, REASON_RIGID_QUOTIENT)),
+    ((2, 3, True, 2), (NOT_LCI, REASON_RIGID_QUOTIENT)),       # rule 3 before 4
+    ((3, 2, True, 2), (LCI, REASON_A_TYPE_SURFACE)),
+    ((3, None, True, 2), (LCI, REASON_A_TYPE_SURFACE)),        # no limit at s = 2
+    ((3, 2, True, 3), (UNKNOWN, REASON_OPEN_CASE)),
+    ((6, 2, True, 5), (UNKNOWN, REASON_OPEN_CASE)),
+    ((3, None, True, 3), (UNKNOWN, REASON_LIMIT)),
+    ((6, None, True, 5), (UNKNOWN, REASON_LIMIT)),
+]
 
 
 class TestLciClassify:
+    @pytest.mark.parametrize("facts, expected", LCI_TABLE)
+    def test_table(self, facts, expected):
+        order, min_support, gorenstein, s = facts
+        kernel = KernelDescription((), order, min_support)
+        assert lci_classify(data_of_size(s), kernel, gorenstein) == expected
+
     def test_z2cubed(self):
         assert lci_of(z2cubed_data()) == (NOT_LCI, REASON_RIGID_QUOTIENT)
 
@@ -214,6 +251,28 @@ class TestSmoothness:
 
 
 class TestClassify:
+    def test_one_sl_test_per_document(self, monkeypatch):
+        # The lci table reads the SL verdict that classify already cross-checked.
+        decider = sys.modules[classify.__module__]
+        sl_test = decider.gorenstein_watanabe
+        calls = []
+
+        def counting(data, kernel):
+            calls.append(data)
+            return sl_test(data, kernel)
+
+        monkeypatch.setattr(decider, "gorenstein_watanabe", counting)
+        rng = random.Random(29)
+        seen = 0
+        while seen < 40:
+            data = random_data(rng, random_group(rng, max_order=256), max_branch=4)
+            if kernel_of(data).order == 1:
+                continue
+            calls.clear()
+            classify(data)
+            assert calls == [data]
+            seen += 1
+
     def test_z2cubed_report(self):
         report = classify(z2cubed_data())
         assert not report.locally_simple
