@@ -621,84 +621,68 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line.  Each subcommand declares its arguments and, as
+    `run`, the command that `main` calls with the parsed arguments."""
     parser = _ArgumentParser(
         prog="abelcover",
         description="Classify the local structure of a finite abelian cover "
                     "at a branch point from its combinatorial data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("file", nargs="?", default="-",
+                          help="cover document path, or - for stdin (default)")
 
-    def add_input(p):
-        p.add_argument("file", nargs="?", default="-",
-                       help="cover document path, or - for stdin (default)")
+    p = sub.add_parser("validate", parents=[document], help="check and canonicalize a document")
+    p.set_defaults(run=lambda a: cmd_validate(_read_document(a.file)))
 
-    add_input(sub.add_parser("validate", help="check and canonicalize a document"))
-
-    p = sub.add_parser("classify", help="full classification report")
-    add_input(p)
+    p = sub.add_parser("classify", parents=[document], help="full classification report")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--max-order", type=int, default=DEFAULT_FIBER_ORDER_LIMIT,
                    help="largest group order for the fiber-ring cross-checks")
+    p.set_defaults(run=lambda a: cmd_classify(
+        _read_document(a.file), as_json=a.json, fiber_order_limit=a.max_order))
 
-    p = sub.add_parser("fiber", help="basis and products of the fiber ring")
-    add_input(p)
+    p = sub.add_parser("fiber", parents=[document], help="basis and products of the fiber ring")
     p.add_argument("--table", action="store_true", help="print the product table")
     p.add_argument("--max-order", type=int, default=DEFAULT_FIBER_ORDER_LIMIT)
+    p.set_defaults(run=lambda a: cmd_fiber(
+        _read_document(a.file), table=a.table, max_order=a.max_order))
 
-    p = sub.add_parser("socle", help="socle of the fiber ring")
-    add_input(p)
+    p = sub.add_parser("socle", parents=[document], help="socle of the fiber ring")
     p.add_argument("--max-order", type=int, default=DEFAULT_FIBER_ORDER_LIMIT)
+    p.set_defaults(run=lambda a: cmd_socle(_read_document(a.file), max_order=a.max_order))
 
-    p = sub.add_parser("hilbert", help="degree data of the invariant ring")
-    add_input(p)
+    p = sub.add_parser("hilbert", parents=[document], help="degree data of the invariant ring")
     p.add_argument("--max-degree", type=int, default=DEFAULT_HILBERT_DEGREE)
     p.add_argument("--max-order", type=int, default=DEFAULT_FIBER_ORDER_LIMIT)
+    p.set_defaults(run=lambda a: cmd_hilbert(
+        _read_document(a.file), max_degree=a.max_degree, max_order=a.max_order))
 
-    add_input(sub.add_parser("factor", help="totally ramified / etale factorization"))
+    p = sub.add_parser("factor", parents=[document], help="totally ramified / etale factorization")
+    p.set_defaults(run=lambda a: cmd_factor(_read_document(a.file)))
 
-    p = sub.add_parser("example", help="built-in worked examples")
-    ex = p.add_subparsers(dest="example_command", required=True)
-    ex.add_parser("list", help="list known examples")
-    q = ex.add_parser("show", help="print an example document")
-    q.add_argument("name")
-    q.add_argument("--param", action="append", metavar="NAME=VALUE")
-    q = ex.add_parser("run", help="classify an example and compare to its expected verdicts")
-    q.add_argument("name")
-    q.add_argument("--param", action="append", metavar="NAME=VALUE")
+    ex = sub.add_parser("example", help="built-in worked examples").add_subparsers(
+        dest="example_command", required=True)
+    named = argparse.ArgumentParser(add_help=False)
+    named.add_argument("name")
+    named.add_argument("--param", action="append", metavar="NAME=VALUE")
+    p = ex.add_parser("list", help="list known examples")
+    p.set_defaults(run=lambda a: cmd_example_list())
+    p = ex.add_parser("show", parents=[named], help="print an example document")
+    p.set_defaults(run=lambda a: (
+        print_document(examples_registry(a.name, _parse_params(a.param))), EXIT_OK))
+    p = ex.add_parser("run", parents=[named],
+                      help="classify an example and compare to its expected verdicts")
+    p.set_defaults(run=lambda a: cmd_example_run(a.name, _parse_params(a.param)))
 
     return parser
 
 
-def run_command(args) -> tuple[str, int]:
-    if args.command == "example":
-        if args.example_command == "list":
-            return cmd_example_list()
-        params = _parse_params(args.param)
-        if args.example_command == "show":
-            return print_document(examples_registry(args.name, params)), EXIT_OK
-        return cmd_example_run(args.name, params)
-
-    doc = _read_document(args.file)
-    if args.command == "validate":
-        return cmd_validate(doc)
-    if args.command == "classify":
-        return cmd_classify(doc, as_json=args.json, fiber_order_limit=args.max_order)
-    if args.command == "fiber":
-        return cmd_fiber(doc, table=args.table, max_order=args.max_order)
-    if args.command == "socle":
-        return cmd_socle(doc, max_order=args.max_order)
-    if args.command == "hilbert":
-        return cmd_hilbert(doc, max_degree=args.max_degree, max_order=args.max_order)
-    if args.command == "factor":
-        return cmd_factor(doc)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, code = run_command(args)
+        text, code = args.run(args)
     except (DocumentError, RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

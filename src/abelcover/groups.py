@@ -12,7 +12,7 @@ floating point anywhere.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
-from operator import floordiv, mod, mul
+from operator import add, floordiv, mod, mul
 
 #: Cap on the subset probes of the exact minimal-support search of a kernel,
 #: on the elements that `closure` enumerates and on the exponent vectors that
@@ -134,8 +134,10 @@ class _Frozen:
     object.__setattr__; afterwards assignment raises AttributeError.  A
     subclass that checks or normalises its input overrides it with the same
     signature.  Instances compare and hash by their field values, only
-    against the same class, and print as Name(field=value, ...).  Copies and
-    pickles are rebuilt through __init__."""
+    against the same class, and print as Name(field=value, ...).  An
+    instance equals itself without a field read, the usual case of the
+    same-group checks in the arithmetic.  Copies and pickles are rebuilt
+    through __init__."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -153,7 +155,7 @@ class _Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self is other or self._values() == other._values()
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -187,14 +189,6 @@ class AbelianGroup(_Frozen):
         if any(m < 2 for m in moduli):
             raise ValueError(f"moduli must all be >= 2, got {moduli}")
         object.__setattr__(self, "moduli", moduli)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.moduli == other.moduli
-
-    def __hash__(self) -> int:
-        return hash((self.moduli,))
 
     @property
     def order(self) -> int:
@@ -243,18 +237,12 @@ class Element(_Frozen):
         object.__setattr__(
             self, "residues", tuple([*map(mod, map(int, residues), group.moduli)]))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.residues) == (other.group, other.residues)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.residues))
-
-    def __add__(self, other: "Element") -> "Element":
+    def __add__(self, other):
+        """The componentwise sum, of the class of self: the group law of
+        elements here and, as Character.__mul__, of characters."""
         if other.group != self.group:
-            raise ValueError("elements of different groups")
-        return Element(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
+            raise ValueError(f"{self.__class__.__name__.lower()}s of different groups")
+        return self.__class__(self.group, tuple(map(add, self.residues, other.residues)))
 
     def __mul__(self, k: int) -> "Element":
         return Element(self.group, tuple(k * r for r in self.residues))
@@ -275,7 +263,7 @@ class Character(_Frozen):
     cyclic factor: the value at e is sum_j c_j * e_j / m_j in Q/Z."""
 
     __slots__ = _fields = ("group", "residues")
-    __init__ = Element.__init__
+    __init__, __mul__, __str__ = Element.__init__, Element.__add__, Element.__str__
 
     def __call__(self, e: Element) -> int:
         """The value at e as the numerator n in [0, L) of n/L, where
@@ -289,14 +277,6 @@ class Character(_Frozen):
             raise ValueError("element of a different group")
         L, moduli = self.group.exponent, self.group.moduli
         return sum(c * x * (L // m) for c, x, m in zip(self.residues, e.residues, moduli)) % L
-
-    def __mul__(self, other: "Character") -> "Character":
-        if other.group != self.group:
-            raise ValueError("characters of different groups")
-        return Character(self.group, tuple(a + b for a, b in zip(self.residues, other.residues)))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(map(str, self.residues)) + ")"
 
 
 def closure(moduli: tuple[int, ...], generators) -> list[tuple[int, ...]]:

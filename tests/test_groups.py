@@ -29,7 +29,7 @@ from abelcover import (
 import abelcover.cover
 import abelcover.groups
 from abelcover.cli import EXIT_INTERNAL, ExampleEntry, main, parse_input
-from abelcover.groups import _fold_pivots, _hermite, _hermite_fold, closure
+from abelcover.groups import _Frozen, _fold_pivots, _hermite, _hermite_fold, closure
 from helpers import (
     assert_snf_contract,
     brute_character_solutions,
@@ -595,6 +595,28 @@ class TestValueClasses:
         G = AbelianGroup((2, 4))
         assert G.element((1, 3)) != G.character((1, 3))
         assert G.character((1, 3)) != G.element((1, 3))
+
+    def test_group_law_checks_the_group(self):
+        # Elements and characters share one componentwise law; each names
+        # its own kind when the groups differ.
+        G, H = AbelianGroup((2, 4)), AbelianGroup((2, 6))
+        with pytest.raises(ValueError, match="^elements of different groups$"):
+            G.element((1, 1)) + H.element((1, 1))
+        with pytest.raises(ValueError, match="^characters of different groups$"):
+            G.character((1, 1)) * H.character((1, 1))
+        # A group built apart but equal passes the check.
+        total = G.element((1, 3)) + AbelianGroup((2, 4)).element((1, 2))
+        assert total == G.element((0, 1)) and str(total) == "(0, 1)"
+        product = G.character((1, 3)) * AbelianGroup((2, 4)).character((1, 2))
+        assert product == G.character((0, 1)) and str(product) == "(0, 1)"
+
+    def test_equal_to_itself_without_a_field_read(self, monkeypatch):
+        G = AbelianGroup((2, 4))
+        e, chi = G.element((1, 3)), G.character((1, 3))
+        monkeypatch.setattr(_Frozen, "_values", lambda self: pytest.fail("fields read"))
+        assert G == G and not G != G
+        assert e == e and chi == chi
+        assert (e + e).residues == (0, 2)
 
     def test_gorenstein_checks_repr(self):
         # The repr is part of the exit-3 stderr line of the CLI.
