@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from .groups import LimitExceeded, _Frozen
@@ -25,9 +25,9 @@ from .cover import (
 from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
     DEFAULT_HILBERT_DEGREE,
+    _check_degree_bound,
     build_fiber_ring,
     hilbert_numerator,
-    invariant_monomials_up_to_degree,
     socle_basis,
 )
 from .classify import ClassificationReport, CrossCheckError, classify
@@ -442,6 +442,14 @@ def _check_max_order(max_order: int) -> None:
         raise DocumentError("--max-order", f"must be >= 1, got {max_order}")
 
 
+def _fiber_ring(doc: CombinatorialData, max_order: int):
+    """The sum map's presentation of the validated document and the fiber
+    ring of its totally ramified part, within `max_order`."""
+    _check_max_order(max_order)
+    presentation = ramification_factorization(validate(doc))
+    return presentation, build_fiber_ring(presentation.restricted, order_limit=max_order)
+
+
 def cmd_validate(doc: CombinatorialData) -> tuple[str, int]:
     try:
         data = validate(doc)
@@ -468,15 +476,12 @@ def cmd_classify(doc: CombinatorialData, *, as_json: bool = False,
 
 def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
               max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
-    _check_max_order(max_order)
-    data = validate(doc)
-    presentation = ramification_factorization(data)
+    presentation, ring = _fiber_ring(doc, max_order)
     lines = []
     if presentation.etale_index > 1:
         lines.append(
             f"etale index {presentation.etale_index}: the fiber is "
             f"{presentation.etale_index} disjoint copies of the totally ramified fiber below")
-    ring = build_fiber_ring(presentation.restricted, order_limit=max_order)
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
     characters = product(*map(range, ring.group.moduli))
@@ -498,9 +503,7 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
 
 
 def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
-    _check_max_order(max_order)
-    data = validate(doc)
-    ring = build_fiber_ring(ramification_factorization(data).restricted, order_limit=max_order)
+    ring = _fiber_ring(doc, max_order)[1]
     basis = sorted(socle_basis(ring), key=ring.index)
     lines = [f"socle dimension: {len(basis)}"]
     for chi in basis:
@@ -513,22 +516,22 @@ def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = DEFAULT_HILBERT_DEG
                 max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
-    _check_max_order(max_order)
-    data = validate(doc)
-    presentation = ramification_factorization(data)
-    numerator = hilbert_numerator(build_fiber_ring(presentation.restricted, order_limit=max_order))
-    # Restriction rescales each generator g_i and its character residue a_i
-    # by one unit u_i, hence the kernel coordinates t_i by 1/u_i: every
-    # t_i a_i, and so the monomial set, is that of the input.
-    monomials = invariant_monomials_up_to_degree(data, max_degree, presentation=presentation)
+    ring = _fiber_ring(doc, max_order)[1]
+    numerator = hilbert_numerator(ring)
+    _check_degree_bound(max_degree, len(ring.orders))
+    # The invariant ring is free over C[[z_i^d_i]] on the fiber basis, and
+    # restriction keeps each d_i, so the counts are the coefficients of
+    # numerator(t) / prod(1 - t^d_i): a prefix sum with stride d_i per line.
+    counts = [*numerator.coefficients[:max_degree + 1]]
+    counts += [0] * (max_degree + 1 - len(counts))
+    for d in ring.orders:
+        for r in range(min(d, max_degree + 1)):
+            counts[r::d] = accumulate(counts[r::d])
     lines = [
         f"numerator: {numerator}",
         f"palindromic: {'yes' if numerator.palindromic else 'no'}",
         f"invariant monomial counts up to degree {max_degree}:",
     ]
-    counts = [0] * (max_degree + 1)
-    for alpha in monomials:
-        counts[sum(alpha)] += 1
     for d, c in enumerate(counts):
         lines.append(f"  degree {d}: {c}")
     return "\n".join(lines) + "\n", EXIT_OK

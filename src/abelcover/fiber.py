@@ -88,13 +88,13 @@ class FiberRing(_Frozen):
     Derived state, made from the columns and kept in the instance __dict__
     (no __slots__): the total `degrees`, summed by build_fiber_ring for its
     totally-ramified check; and, on first use, `alphas[k]`, the exponent
-    vector of index k, `codes[k]`, that vector packed into one integer,
-    the `tally` of the degrees, the `levels` that the socle walk visits,
-    and the `thresholds`, the one source of the dominance masks that the
-    socle walk and the product table read.  Copies and pickles carry the
-    fields only and rebuild the rest on first use.  classify reads the
-    columns and the degrees, never `alphas`; it counts the tally only on
-    rings with wider degree fields or one monomial at the top degree."""
+    vector of index k, the `tally` of the degrees, the `levels` that the
+    socle walk visits, and the `thresholds`, the one source of the
+    dominance masks that the socle walk and the product table read.  Copies
+    and pickles carry the fields only and rebuild the rest on first use.
+    classify reads the columns and the degrees, never `alphas`; it counts
+    the tally only on rings with wider degree fields or one monomial at the
+    top degree."""
 
     _fields = ("group", "orders", "columns")
 
@@ -183,19 +183,6 @@ class FiberRing(_Frozen):
         wide columns sweep at any |G|: it holds |G|^2 cells anyway."""
         return [*map(_Thresholds, self.columns, self.orders)]
 
-    @cached_property
-    def codes(self) -> list[int]:
-        """alphas[k] as one integer in mixed radix d_i, one-to-one on the
-        box 0 <= alpha_i < d_i.  product_rows adds two codes only when every
-        coordinate sum stays below its d_i, and then they add without
-        carry: code(a) + code(b) = code(a + b).  Built on the first
-        product; classify never multiplies."""
-        weights, w = [], 1
-        for d in self.orders:
-            weights.append(w)
-            w *= d
-        return [sum(map(mul, a, weights)) for a in self.alphas]
-
     @property
     def dimension(self) -> int:
         return self.group.order
@@ -226,14 +213,19 @@ class FiberRing(_Frozen):
         t, that is, when alpha(b) is dominated by the vector with
         coordinates d_t - 1 - alpha_t(a), so the nonzero columns of row a
         are the indices outside thresholds[t][d_t - alpha_t(a)] for every
-        t; their products are named through the codes, which add without
-        carry.  A row costs s whole-ring ORs, C-level passes over its n
-        columns (the selector bytes, compress, the fill with `zero`), and
-        one add and one lookup per nonzero product."""
+        t.  A product is named through codes: alpha packed into one integer
+        in mixed radix d_t, one-to-one on the box 0 <= alpha_t < d_t, so
+        that two codes whose coordinate sums all stay below their d_t add
+        without carry, code(a) + code(b) = code(a + b).  A row costs s
+        whole-ring ORs, C-level passes over its n columns (the selector
+        bytes, compress, the fill with `zero`), and one add and one lookup
+        per nonzero product."""
         n = self.dimension
         thresholds, orders = [at.every() for at in self.thresholds], self.orders
+        weights = [*accumulate(orders[:-1], mul, initial=1)]
+        codes = [sum(map(mul, a, weights)) for a in self.alphas]
         # compress walks a list of the indices, so it makes no new ints.
-        codes, indices = self.codes, list(range(n))
+        indices = list(range(n))
         label = dict(zip(codes, names))
         everyone = (1 << n) - 1
         for code, alpha in zip(codes, self.alphas):
@@ -456,6 +448,18 @@ def hilbert_palindromic(ring: FiberRing) -> bool:
     return len(top) == 1 and hilbert_numerator(ring).palindromic
 
 
+def _check_degree_bound(D: int, s: int) -> None:
+    """Raise LimitExceeded when C(D + s, s), the exponent vectors up to
+    degree D in s variables, or D + 1, the degree rows (which C(D + s, s)
+    bounds only when s >= 1), passes DEFAULT_ENUMERATION_LIMIT."""
+    limit = groups.DEFAULT_ENUMERATION_LIMIT
+    if max(comb(D + s, s), D + 1) > limit:
+        raise LimitExceeded(
+            f"enumerating exponents up to degree {D} in {s} variables "
+            f"exceeds the bound {limit}"
+        )
+
+
 def invariant_monomials_up_to_degree(
     data: CombinatorialData,
     max_degree: int = DEFAULT_HILBERT_DEGREE,
@@ -478,14 +482,7 @@ def invariant_monomials_up_to_degree(
     s = data.size
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    # Callers tabulate the result in max_degree + 1 degrees, which
-    # C(D + s, s) bounds only when s >= 1.
-    limit = groups.DEFAULT_ENUMERATION_LIMIT
-    if max(comb(max_degree + s, s), max_degree + 1) > limit:
-        raise LimitExceeded(
-            f"enumerating exponents up to degree {max_degree} in {s} variables "
-            f"exceeds the bound {limit}"
-        )
+    _check_degree_bound(max_degree, s)
     if not s:
         return [()]
     L, weights = psi_weights(data)

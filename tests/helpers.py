@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
-from operator import add, ge
+from operator import add, ge, mul
 
 from abelcover import (
     AbelianGroup,
@@ -471,6 +471,25 @@ def prime_lines(rng, p, r, count):
     and characters are random nonzero residues mod p."""
     branch = [([rng.randrange(1, p) for _ in range(r)], rng.randrange(1, p))
               for _ in range(count)]
+    return validate(CombinatorialData.from_residues((p,) * r, branch))
+
+
+def character_lines(rng):
+    """(Z/p)^r with p in {2, 3, 5} and r in 2-4, one nonzero character chi
+    and r + 1 to r + 3 distinct lines <g> with chi(g) != 0 (as many as
+    exist, if fewer), each with psi_i the restriction of chi.  chi lifts
+    every psi_i, so the point is Gorenstein, and most draws end
+    rigid-quotient, rule 3 of the lci table, which random_data rarely
+    reaches."""
+    p, r = rng.choice((2, 3, 5)), rng.randint(2, 4)
+    chi = [0] * r
+    while not any(chi):
+        chi = [rng.randrange(p) for _ in range(r)]
+    # One generator per line: the one whose first nonzero residue is 1.
+    lines = [g for g in product(range(p), repeat=r)
+             if any(g) and next(filter(None, g)) == 1 and sum(map(mul, chi, g)) % p]
+    count = min(rng.randint(r + 1, r + 3), len(lines))
+    branch = [(g, sum(map(mul, chi, g)) % p) for g in rng.sample(lines, count)]
     return validate(CombinatorialData.from_residues((p,) * r, branch))
 
 

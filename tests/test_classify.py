@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from time import perf_counter
@@ -42,6 +43,7 @@ import abelcover.groups
 from abelcover.cli import examples_registry
 from helpers import (
     chain_law_oracle,
+    character_lines,
     character_value,
     elementary_lines,
     random_data,
@@ -498,26 +500,58 @@ def _drawn_data(seed):
 
 #: Seeds whose drawn data end rigid-quotient (over (Z/3 + Z/6) and
 #: (Z/2 + Z/2 + Z/4)): 4 of seeds 0-2999 do, so a run of 60 draws rarely
-#: reaches rule 3 of the lci table.
+#: reaches rule 3 of the lci table.  character_lines reaches it on most
+#: draws.
 RIGID_SEEDS = (2162, 2662)
+
+MOVES = [_permute, _rescale, _transvect, _crt_split, _add_etale]
+
+
+def _assert_invariant(move, rng, data):
+    moved = move(rng, data)
+    if moved is None:
+        return
+    other, m = moved
+    before, after = classify(data), classify(other)
+    assert _verdicts(after) == _verdicts(before)
+    assert after.etale_index == m * before.etale_index
+    assert after.totally_ramified == (before.totally_ramified and m == 1)
+
+
+def _assert_drops_keep_open_properties(data):
+    # The locally simple, Gorenstein and lci loci are open: a general
+    # point of the stratum of any set of lines has every property of the
+    # point.  Unknown asserts nothing.
+    point = classify(data)
+    for i in range(data.size):
+        sub = classify(CombinatorialData(data.group, data.branch[:i] + data.branch[i + 1:]))
+        assert sub.locally_simple or not point.locally_simple
+        assert sub.gorenstein or not point.gorenstein
+        # An LCI point has no NotLCI drop; a NotLCI drop rules out LCI.
+        assert not (point.lci == LCI and sub.lci == NOT_LCI)
+
+
+def test_character_lines_reach_rule_3():
+    reasons = Counter(classify(character_lines(random.Random(seed))).lci_reason
+                      for seed in range(100))
+    assert reasons[REASON_RIGID_QUOTIENT] > 50, reasons
 
 
 class TestInvariance:
-    @pytest.mark.parametrize("move", [_permute, _rescale, _transvect, _crt_split, _add_etale],
-                             ids=lambda move: move.__name__[1:])
+    @pytest.mark.parametrize("move", MOVES, ids=lambda move: move.__name__[1:])
     @given(st.integers(min_value=0, max_value=10**6))
     @example(RIGID_SEEDS[0])
     @example(RIGID_SEEDS[1])
     def test_isomorphic_data_same_report(self, move, seed):
-        rng, data = _drawn_data(seed)
-        moved = move(rng, data)
-        if moved is None:
-            return
-        other, m = moved
-        before, after = classify(data), classify(other)
-        assert _verdicts(after) == _verdicts(before)
-        assert after.etale_index == m * before.etale_index
-        assert after.totally_ramified == (before.totally_ramified and m == 1)
+        _assert_invariant(move, *_drawn_data(seed))
+
+    # A prime modulus has no CRT split.
+    @pytest.mark.parametrize("move", [m for m in MOVES if m is not _crt_split],
+                             ids=lambda move: move.__name__[1:])
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_isomorphic_character_lines_same_report(self, move, seed):
+        rng = random.Random(seed)
+        _assert_invariant(move, rng, character_lines(rng))
 
 
 class TestOpenness:
@@ -525,17 +559,11 @@ class TestOpenness:
     @example(RIGID_SEEDS[0])
     @example(RIGID_SEEDS[1])
     def test_one_line_drops(self, seed):
-        # The locally simple, Gorenstein and lci loci are open: a general
-        # point of the stratum of any set of lines has every property of
-        # the point.  Unknown asserts nothing.
-        _, data = _drawn_data(seed)
-        point = classify(data)
-        for i in range(data.size):
-            sub = classify(CombinatorialData(data.group, data.branch[:i] + data.branch[i + 1:]))
-            assert sub.locally_simple or not point.locally_simple
-            assert sub.gorenstein or not point.gorenstein
-            # An LCI point has no NotLCI drop; a NotLCI drop rules out LCI.
-            assert not (point.lci == LCI and sub.lci == NOT_LCI)
+        _assert_drops_keep_open_properties(_drawn_data(seed)[1])
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_one_line_drops_of_character_lines(self, seed):
+        _assert_drops_keep_open_properties(character_lines(random.Random(seed)))
 
 
 # ---------------------------------------------------------------------------

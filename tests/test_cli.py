@@ -6,13 +6,27 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abelcover import AbelianGroup, CombinatorialData, build_fiber_ring, classify, validate
+from abelcover import (
+    AbelianGroup,
+    CombinatorialData,
+    LimitExceeded,
+    build_fiber_ring,
+    classify,
+    invariant_monomials_up_to_degree,
+    ramification_factorization,
+    validate,
+)
+import abelcover.cli
+import abelcover.cover
+import abelcover.fiber
 import abelcover.groups
 from abelcover.cli import (
     DocumentError,
@@ -378,6 +392,54 @@ class TestCommands:
         assert code == EXIT_OK
         assert "1 + 6*t^2 + t^4" in text
         assert "palindromic: yes" in text
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=12),
+           st.sampled_from((10**6, 1000, 100, 10)))
+    def test_hilbert_counts_match_the_listing(self, seed, max_degree, limit):
+        # hilbert reads its counts off the numerator of the totally ramified
+        # part; the listing walks the exponent vectors of the input data,
+        # partially ramified draws included.  Both refuse past one bound.
+        rng = random.Random(seed)
+        data = random_data(rng, random_group(rng, max_order=256), max_branch=5)
+        with mock.patch.object(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", limit):
+            try:
+                listing = invariant_monomials_up_to_degree(
+                    data, max_degree, presentation=ramification_factorization(data))
+            except LimitExceeded as exc:
+                with pytest.raises(LimitExceeded) as info:
+                    cmd_hilbert(data, max_degree=max_degree)
+                assert str(info.value) == str(exc)
+                return
+            text, code = cmd_hilbert(data, max_degree=max_degree)
+        counts = Counter(map(sum, listing))
+        assert code == EXIT_OK
+        assert text.splitlines()[3:] == [
+            f"  degree {d}: {counts[d]}" for d in range(max_degree + 1)]
+
+    @pytest.mark.parametrize("command", [
+        cmd_socle, cmd_hilbert, cmd_fiber, lambda doc: cmd_fiber(doc, table=True)],
+        ids=["socle", "hilbert", "fiber", "fiber-table"])
+    def test_one_ring_per_command(self, command, monkeypatch):
+        # Each ring command presents the sum map once and builds one ring;
+        # hilbert counts off its numerator and lists no monomial.
+        calls = Counter()
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        for module in (abelcover.cli, abelcover.cover, abelcover.fiber):
+            for name in ("ramification_factorization", "build_fiber_ring",
+                         "invariant_monomials_up_to_degree"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for data in (z2cubed_data(), single_datum_z105(), zpqr_data(), dual_numbers_data()):
+            calls.clear()
+            assert command(data)[1] == EXIT_OK
+            assert calls == {"ramification_factorization": 1, "build_fiber_ring": 1}
 
     def test_factor(self):
         doc = parse_input('{"group": [105], "branch": [{"generator": [5], "character": 1}]}')
@@ -784,10 +846,10 @@ class TestGolden:
     exactly: (Z/5)^3 with 12 lines (`factor` and `classify --json`; 9
     kernel generator lines, folds that divide into pivots already opened)
     and Z/100003 + Z/6 with 2 lines (`classify --json`; the lift at
-    L = 600018).  Two `hilbert` runs on (Z/2)^3 pin the listing's own
-    bound: `--max-degree 67` walks C(71, 4) = 971635 exponent vectors and
-    exits 0, and `--max-degree 68` passes DEFAULT_ENUMERATION_LIMIT and
-    exits 2 with the listing's `limit exceeded:` line.
+    L = 600018).  Two `hilbert` runs on (Z/2)^3 pin the `hilbert` bound:
+    at `--max-degree 67` the C(71, 4) = 971635 exponent vectors stay within
+    DEFAULT_ENUMERATION_LIMIT and it exits 0, and at `--max-degree 68` they
+    pass it and it exits 2 with its `limit exceeded:` line.
     The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 
