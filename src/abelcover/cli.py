@@ -9,7 +9,9 @@ standard worked examples with their expected verdicts.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from itertools import accumulate, product
 from math import gcd
@@ -683,6 +685,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    With `argv` None, as the `abelcover` script and `python -m abelcover.cli`
+    call it, `main` ends the process's work: every exit (a return,
+    argparse's SystemExit, an exception) flushes stdout and then freezes the
+    collector's objects, so that the interpreter's exit does not collect
+    what dies with the process anyway.  A stdout whose reader has closed
+    the pipe exits 1 with nothing on stderr.  A caller that passes `argv`
+    gets neither."""
+    if argv is not None:
+        return _run(argv)
+    try:
+        try:
+            return _run(None)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: point its descriptor
+        # at devnull so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
+    finally:
+        gc.freeze()
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = args.run(args)

@@ -97,6 +97,14 @@ REPORT_KEYS = [
 ]
 
 
+def _spawn_env() -> dict:
+    """The environment for a spawned interpreter that imports this tree's
+    package."""
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _random_report_data(seed: int) -> CombinatorialData:
     """Valid data on a random small group, totally ramified or not."""
     rng = random.Random(seed)
@@ -752,9 +760,6 @@ class TestMain:
         assert data != parse_input(text)  # the input was not canonical
 
     def test_import_loads_only_the_standard_library(self):
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -762,7 +767,7 @@ class TestMain:
             "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(tops - set(sys.stdlib_module_names) - {'abelcover'}))\n"
         )
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
+        result = subprocess.run([sys.executable, "-c", probe], env=_spawn_env(),
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
 
@@ -780,6 +785,60 @@ class TestMain:
                                 env=dict(os.environ, PYTHONPATH=src),
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
+
+    @pytest.mark.parametrize("args, text, exit_code", [
+        (["classify", "--json"], Z2CUBED_TEXT, EXIT_OK),
+        (["classify"], '{"group": [4], "branch": [{"generator": [1], "character": 2}]}',
+         EXIT_INVALID),
+        (["classify", "--max-order", "abc"], Z2CUBED_TEXT, EXIT_INVALID),
+        (["fiber", "--max-order", "4"], Z2CUBED_TEXT, EXIT_LIMIT),
+        (["--help"], "", EXIT_OK),
+    ], ids=["classify-json", "invalid-document", "malformed-command-line", "limit", "help"])
+    def test_spawned_exit_matches_in_process(self, args, text, exit_code, capsys, monkeypatch):
+        # The process's entry point ends through its own exit path; what it
+        # prints and returns is what main(argv) prints and returns.
+        monkeypatch.setenv("COLUMNS", "80")
+        result = subprocess.run([sys.executable, "-m", "abelcover.cli", *args],
+                                input=text, env=_spawn_env(), capture_output=True, text=True)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        frozen = gc.get_freeze_count()
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert gc.get_freeze_count() == frozen
+        out, err = capsys.readouterr()
+        assert code == exit_code
+        assert (result.stdout, result.stderr, result.returncode) == (out, err, code)
+
+    def test_spawned_main_freezes_before_exit(self):
+        probe = (
+            "import atexit, gc, sys\n"
+            "from abelcover.cli import main\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['abelcover', 'example', 'list']\n"
+            "sys.exit(main())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], env=_spawn_env(),
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "frozen True\n")
+        assert result.stdout.startswith("elementary ")
+
+    def test_closed_pipe_exits_invalid_without_traceback(self):
+        # The table is megabytes, so the write is still blocked on the pipe
+        # when the reader closes it.
+        document = GOLDEN / "z2pow12-diagonal.json"
+        env = _spawn_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, "-m", "abelcover.cli", "fiber", "--table",
+                               str(document)], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b"fiber ring dimension: 4096\n") and len(head) == 100
+        assert (code, err) == (EXIT_INVALID, b"")
 
     def test_traced_functions_exist(self, monkeypatch):
         # The benchmark's tracer wraps these names from outside; a renamed
