@@ -156,7 +156,10 @@ def classify(
     The fiber routes read only the ring, and stop at the top degree where
     it settles them: two monomials there give a socle of dimension at least
     2 and a numerator that is not palindromic, with no dominance mask built
-    and, on one-byte degree fields, no tally counted.  The solver confirms
+    and, on one-byte degree fields, no tally counted.  Past one monomial at
+    the top, the palindrome test compares the numerator's coefficients in
+    pairs from both ends and stops at the first that differs; on one-byte
+    degree fields it counts no tally there either.  The solver confirms
     a lift it finds but not the absence of one: a missed lift shows up
     here, as a disagreement with the other routes.  When build_fiber_ring
     refuses the ring (LimitExceeded: over `fiber_order_limit` or past its

@@ -93,8 +93,7 @@ class FiberRing(_Frozen):
     dominance masks that the socle walk and the product table read.  Copies
     and pickles carry the fields only and rebuild the rest on first use.
     classify reads the columns and the degrees, never `alphas`; it counts
-    the tally only on rings with wider degree fields or one monomial at the
-    top degree."""
+    the tally only on rings with wider degree fields."""
 
     _fields = ("group", "orders", "columns")
 
@@ -123,8 +122,8 @@ class FiberRing(_Frozen):
     @cached_property
     def tally(self) -> Counter[int]:
         """Number of basis monomials of each total degree; counted once per
-        ring, for the Hilbert numerator and the levels of a ring with wider
-        degree fields."""
+        ring, for the Hilbert numerator, and for the levels and the counts
+        of a ring with wider degree fields."""
         return Counter(self.degrees)
 
     @cached_property
@@ -139,6 +138,16 @@ class FiberRing(_Frozen):
         if self.degrees.itemsize == 1:
             return range(sum(self.orders) - len(self.orders), -1, -1)
         return sorted(self.tally, reverse=True)
+
+    def count(self, degree: int) -> int:
+        """Number of basis monomials of total degree `degree`.  Like
+        `levels`, it follows the degree field width.  With one-byte fields
+        it is one bytes.count of the packed degrees, and no tally is
+        counted.  With wider fields a degree's pattern can straddle two
+        fields, so it is read off the tally, which `levels` counts anyway."""
+        if self.degrees.itemsize == 1:
+            return self.degrees.obj.count(degree)
+        return self.tally[degree]
 
     def indices(self, degree: int) -> Iterator[int]:
         """The basis indices of total degree `degree`, in increasing order,
@@ -430,7 +439,8 @@ class HilbertNumerator(_Frozen):
 
 def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
     """Degree distribution of the w_chi basis of the fiber ring, read off
-    ring.tally, which a walk of a ring with wider degree fields shares."""
+    ring.tally, every coefficient at once.  classify's palindrome test,
+    hilbert_palindromic, does not build it."""
     tally = ring.tally
     # From a list, the tuple is allocated at its final size.  From a map,
     # which has no length hint, tuple() takes a 10-slot tuple and resizes
@@ -439,13 +449,23 @@ def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
 
 
 def hilbert_palindromic(ring: FiberRing) -> bool:
-    """Whether hilbert_numerator(ring) is palindromic, read from the top
-    level first.  Only the identity has degree 0, so q_0 = 1, and a
-    palindromic numerator has q_D = 1 at its top degree D: two indices at
-    the first degree of ring.levels that occurs decide False, with no
-    tally.  Otherwise the whole numerator is checked."""
+    """Whether hilbert_numerator(ring) is palindromic, decided from the ends
+    of the numerator inward, with no numerator built.  Only the identity
+    has degree 0, so q_0 = 1, and a palindromic numerator has q_D = 1 at its
+    top degree D: two indices at the first degree of ring.levels that
+    occurs decide False.  Otherwise q_0 = q_D = 1, and the numerator is
+    palindromic iff q_d = q_{D-d} for 1 <= d < D / 2 (a middle degree pairs
+    with itself).  The pairs are compared from the outside in through
+    ring.count, and the first that differs decides False: on one-byte
+    degree fields each coefficient is one count of the packed degrees, and
+    no tally is counted.  A palindromic numerator compares every pair, D - 1
+    passes over the packed degrees, which past a top degree of about 50
+    costs more than one tally would (README, "Library")."""
     top = next(filter(None, (list(islice(ring.indices(degree), 2)) for degree in ring.levels)))
-    return len(top) == 1 and hilbert_numerator(ring).palindromic
+    if len(top) != 1:
+        return False
+    D, count = ring.degrees[top[0]], ring.count
+    return all(count(d) == count(D - d) for d in range(1, (D + 1) // 2))
 
 
 def _check_degree_bound(D: int, s: int) -> None:

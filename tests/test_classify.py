@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from time import perf_counter
 
@@ -174,6 +175,34 @@ class TestGorensteinSocle:
         assert expected.cross_checks.socle is False
         restricted = ramification_factorization(data).restricted
         assert len(list(socle_basis(build_fiber_ring(restricted)))) == 4047
+
+    def test_palindrome_counts_a_tally_only_on_wide_fields(self, monkeypatch):
+        # (Z/16)^3 with the coordinate lines and two more (fiber-large,
+        # benchmark seed 1) has one monomial at its top degree 70, so the
+        # palindrome test compares pairs; on its one-byte degree fields it
+        # counts them without a tally.  Z/4093 with 3 lines on the generator
+        # 1 also has one monomial at the top, but its degree fields are 16
+        # bits wide, and the walk and the pairs read its tally.
+        rings = []
+
+        def recording(*args, **kwargs):
+            rings.append(build(*args, **kwargs))
+            return rings[-1]
+
+        decider = sys.modules[classify.__module__]
+        build = decider.build_fiber_ring
+        monkeypatch.setattr(decider, "build_fiber_ring", recording)
+        narrow = validate(CombinatorialData.from_residues((16, 16, 16), [
+            ((1, 0, 0), 15), ((0, 1, 0), 11), ((0, 0, 1), 7),
+            ((7, 10, 8), 9), ((3, 12, 9), 7)]))
+        wide = validate(CombinatorialData.from_residues(
+            (4093,), [((1,), 1), ((1,), 975), ((1,), 2428)]))
+        assert not classify(narrow).gorenstein and not classify(wide).gorenstein
+        ring, wide_ring = rings
+        assert ring.dimension == 4096 and ring.degrees.itemsize == 1
+        assert len(list(islice(ring.indices(70), 2))) == 1
+        assert "tally" not in ring.__dict__
+        assert wide_ring.degrees.itemsize == 2 and "tally" in wide_ring.__dict__
 
 
 def lci_of(data):

@@ -908,7 +908,10 @@ class TestGolden:
     L = 600018).  Two `hilbert` runs on (Z/2)^3 pin the `hilbert` bound:
     at `--max-degree 67` the C(71, 4) = 971635 exponent vectors stay within
     DEFAULT_ENUMERATION_LIMIT and it exits 0, and at `--max-degree 68` they
-    pass it and it exits 2 with its `limit exceeded:` line.
+    pass it and it exits 2 with its `limit exceeded:` line.  Z/5 + Z/8
+    with four lines (`classify --json` and plain `hilbert`) has one monomial
+    at its top degree 56 and a numerator whose first unequal pair is inside,
+    q_6 != q_50, so the palindrome test decides past its outer pairs.
     The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 

@@ -311,9 +311,11 @@ class TestFiberRing:
         # walk stops after two yields and the palindrome test after one
         # level, and neither counts the tally nor reads the masks.  A
         # Gorenstein ring has one monomial there, so its palindrome test
-        # counts the whole numerator.  Its one socle vector is (d_i - 1),
-        # since every exponent of column i occurs, so the walk asks each
-        # column for mask d_i, which is there from the start, and builds none.
+        # compares every pair of coefficients, each one count of the
+        # one-byte degree fields, and counts no tally either.  Its one socle
+        # vector is (d_i - 1), since every exponent of column i occurs, so
+        # the walk asks each column for mask d_i, which is there from the
+        # start, and builds none.
         # Z/4093 with 3 lines on the generator 1 has one monomial at the top
         # degree and is not Gorenstein: the walk builds one mask per column
         # for it, by translation past the ASCII range, and sweeps none.
@@ -327,7 +329,7 @@ class TestFiberRing:
         gorenstein = build_fiber_ring(elementary_lines(random.Random(71), 12, 0))
         assert len(list(islice(socle_basis(gorenstein), 2))) == 1
         assert hilbert_palindromic(gorenstein)
-        assert "tally" in gorenstein.__dict__
+        assert gorenstein.degrees.itemsize == 1 and "tally" not in gorenstein.__dict__
         assert [dict(at) for at in gorenstein.thresholds] == [{2: 0}] * 12
         C = AbelianGroup((4093,))
         wide = build_fiber_ring(validate(CombinatorialData(
@@ -614,6 +616,22 @@ class TestHilbertNumerator:
         numerator = hilbert_numerator(build_fiber_ring(z3_two_datum()))
         assert numerator.coefficients == (1, 0, 0, 2)
         assert not numerator.palindromic
+
+    def test_first_unequal_pair_inside(self):
+        # Z/5 + Z/8 with four lines: the numerator
+        # 1 + t^6 + 3*t^10 + ... + 2*t^50 + t^56 has one monomial at its top
+        # degree, so the palindrome test reaches its pairs, and the outer
+        # five agree: only the pair at d = 6 decides, q_6 = 1 != 2 = q_50.
+        # Each call is on a fresh copy of the ring.
+        ring = build_fiber_ring(validate(CombinatorialData.from_residues(
+            (5, 8), [((0, 4), 1), ((1, 1), 9), ((1, 4), 1), ((1, 4), 7)])))
+        numerator = hilbert_numerator(copy.copy(ring))
+        q = numerator.coefficients
+        D = len(q) - 1
+        assert (D, q[0], q[-1]) == (56, 1, 1)
+        assert [d for d in range(D + 1) if q[d] != q[D - d]][0] == 6
+        assert not numerator.palindromic
+        assert hilbert_palindromic(copy.copy(ring)) == numerator.palindromic
 
     def test_total_count_and_degree_bound(self):
         rng = random.Random(59)
