@@ -16,7 +16,7 @@ import sys
 from itertools import accumulate, product
 from math import gcd
 
-from .groups import LimitExceeded, _Frozen
+from .groups import LimitExceeded, _Frozen, proven_prime
 from .cover import (
     BranchDatum,
     CombinatorialData,
@@ -40,9 +40,8 @@ EXIT_LIMIT = 2
 EXIT_INTERNAL = 3
 
 #: Bounds on the example parameters, which come from the command line.
-#: Primes are tested by trial division, and the zpn-chain modulus p^n and
-#: the elementary rank n stay small enough for every report to take well
-#: under a second.
+#: The primes, the zpn-chain modulus p^n and the elementary rank n stay
+#: small enough for every report to take well under a second.
 EXAMPLE_MAX_PRIME = 10**6
 EXAMPLE_MAX_MODULUS_BITS = 64
 EXAMPLE_MAX_RANK = 64
@@ -248,15 +247,8 @@ def render_report(data: CombinatorialData, report: ClassificationReport) -> str:
 
 
 def _is_prime(n: int) -> bool:
-    """Trial division: primes are bounded by EXAMPLE_MAX_PRIME first."""
-    if not 2 <= n <= EXAMPLE_MAX_PRIME:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """A prime at most EXAMPLE_MAX_PRIME."""
+    return n <= EXAMPLE_MAX_PRIME and proven_prime(n)
 
 
 def _crt(a1: int, m1: int, a2: int, m2: int) -> int:

@@ -16,6 +16,7 @@ from .groups import (
     _hermite,
     _hermite_fold,
     closure,
+    proven_prime,
     smith_normal_form,
 )
 
@@ -298,9 +299,17 @@ def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> Kerne
     product of the last line against its prefix's basis (_fold_pivots),
     which gives |sum H_T| = |G| / pivots.  A minimum-weight kernel element
     is hard to find in general, so the probes are bounded, and the answer
-    is None once they would pass the bound.  When K has fewer elements
-    than there are subsets to probe, the walk gets |K| probes, and K is
-    enumerated only if they do not decide."""
+    is None once they would pass the bound.  The budget unit is one subset
+    decided, so the bound means the same whichever way a subset is decided.
+    When K has fewer elements than there are subsets to probe, the walk
+    gets |K| probes, and K is enumerated only if they do not decide.
+
+    When every d_i is prime and the budget pays for every pair, the pairs
+    need no fold.  The kernel elements supported on {i, j} form a group
+    isomorphic to the intersection of H_i and H_j.  Two subgroups of prime
+    order meet nontrivially iff they are equal, and equal subgroups have
+    the same canonical generator (BranchDatum.canonical), so a pair meets
+    iff its keys are equal."""
     gens, order = presentation.kernel_gens, presentation.kernel_order
     s, orders = data.size, data.orders
     limit = groups.DEFAULT_ENUMERATION_LIMIT
@@ -317,15 +326,37 @@ def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> Kerne
 
 def _probe_supports(data: CombinatorialData, budget: int) -> int | None:
     """The minimal support of the kernel of the sum map of `data`, by the
-    subset probes of kernel_K, or None if `budget` probes do not decide."""
+    subset probes of kernel_K, or None if `budget` subsets decided in
+    lexicographic order, size by size, do not decide.
+
+    When every d_i is a proven prime and the budget pays for all C(s, 2)
+    pairs, the size-2 level is one pass that keys each line by its
+    canonical generator.  Two subgroups of prime order meet nontrivially
+    iff they are equal, and equal subgroups have the same canonical
+    generator, so lines i < j meet iff their keys are equal.  The canonical
+    generator is taken, not the stored one, since unvalidated data can
+    write one subgroup with two generators.  The walk too would have
+    decided every pair within that budget, so the pass answers 2 if two
+    keys are equal, and otherwise charges the C(s, 2) pairs and the walk
+    starts at size 3.  A smaller budget keeps the probes, since the walk
+    may then stop inside the pairs (|K| below the number of pairs, where K
+    is enumerated after |K| probes)."""
     s, orders = data.size, data.orders
     if s < 3:
         return s
     moduli, group_order = data.group.moduli, data.group.order
     lines = [datum.generator.residues for datum in data.branch]
     diagonal = _hermite(moduli, ())
-    spent = 0
-    for size in range(2, s):
+    spent, first_size, pairs = 0, 2, s * (s - 1) // 2
+    if budget >= pairs and all(map(proven_prime, set(orders))):
+        keys = set()
+        for datum in data.branch:
+            key = datum.canonical().generator.residues
+            if key in keys:
+                return 2
+            keys.add(key)
+        spent, first_size = pairs, 3
+    for size in range(first_size, s):
         for start, basis, prefix_order in _prefixes(moduli, lines, orders, size - 1, 0, diagonal, 1):
             for i in range(start, s):
                 if spent == budget:

@@ -21,7 +21,7 @@ from abelcover import (
     InvalidCoverData,
     validate,
 )
-from abelcover.groups import closure
+from abelcover.groups import _fold_pivots, _hermite, _hermite_fold, closure
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +310,45 @@ def brute_min_support(orders, kernel_gens) -> int | None:
     return min(supports, default=None)
 
 
+def reference_probe_supports(data: CombinatorialData, budget: int) -> int | None:
+    """The minimal-support search of kernel_K as it was before the size-2
+    level was keyed by canonical generators: every subset, pairs included,
+    is one pivot probe.  Kept as the reference that the keyed level is
+    tested against."""
+    s, orders = data.size, data.orders
+    if s < 3:
+        return s
+    moduli, group_order = data.group.moduli, data.group.order
+    lines = [datum.generator.residues for datum in data.branch]
+    diagonal = _hermite(moduli, ())
+    spent = 0
+    for size in range(2, s):
+        for start, basis, prefix_order in _reference_prefixes(
+                moduli, lines, orders, size - 1, 0, diagonal, 1):
+            for i in range(start, s):
+                if spent == budget:
+                    return None
+                spent += 1
+                # |K_T| > 1 iff prod d_T > |sum H_T| = |G| / pivots.
+                if prefix_order * orders[i] * _fold_pivots(moduli, basis, lines[i]) > group_order:
+                    return size
+    return s
+
+
+def _reference_prefixes(moduli, lines, orders, length, start, basis, prefix_order):
+    """Each subset of `length` more lines from lines[start:] that leaves a
+    later line to probe, depth first in lexicographic order, as (the first
+    index after it, the Hermite basis with its lines folded in, the product
+    of their orders)."""
+    if not length:
+        yield start, basis, prefix_order
+        return
+    for i in range(start, len(lines) - length):
+        yield from _reference_prefixes(moduli, lines, orders, length - 1, i + 1,
+                                       _hermite_fold(moduli, basis, lines[i]),
+                                       prefix_order * orders[i])
+
+
 def brute_discrete_log(base: Fraction, target: Fraction, order: int) -> int | None:
     """The least t in [0, order) with t*base = target in Q/Z, by scanning."""
     for t in range(order):
@@ -491,6 +530,28 @@ def character_lines(rng):
     count = min(rng.randint(r + 1, r + 3), len(lines))
     branch = [(g, sum(map(mul, chi, g)) % p) for g in rng.sample(lines, count)]
     return validate(CombinatorialData.from_residues((p,) * r, branch))
+
+
+def shared_prime_lines(rng):
+    """(Z/p)^r with p in {3, 5, 7} and r in 2-4, and 3 to 7 distinct pairs
+    (H, psi) on a pool of 2 to 7 subgroups, so that most draws put two
+    characters on one subgroup, in random order.  Each generator is
+    written as u*g for a random unit u (the character moved with it), and
+    the data is returned unvalidated, so that one subgroup can come with
+    two different generators; validate() writes each on its canonical
+    generator."""
+    p, r = rng.choice((3, 5, 7)), rng.randint(2, 4)
+    lines = [g for g in product(range(p), repeat=r) if any(g) and next(filter(None, g)) == 1]
+    pool = rng.sample(lines, rng.randint(2, min(7, len(lines))))
+    count = min(rng.randint(3, 7), len(pool) * (p - 1))
+    pairs = set()
+    while len(pairs) < count:
+        pairs.add((rng.choice(pool), rng.randrange(1, p)))
+    branch = []
+    for g, a in rng.sample(sorted(pairs), count):
+        u = rng.randrange(1, p)
+        branch.append(([u * x % p for x in g], a * u % p))
+    return CombinatorialData.from_residues((p,) * r, branch)
 
 
 def cyclic_lines(rng, N, count):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from math import isqrt
 from pathlib import Path
 from time import perf_counter
 from unittest import mock
@@ -497,6 +498,21 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             examples_registry("zpn-chain", {"s": 9})
 
+    def test_prime_parameters(self):
+        # The primes are proven by groups.proven_prime under the
+        # EXAMPLE_MAX_PRIME bound: the numbers accepted and the refusals'
+        # texts are those of the trial division that came before.
+        trial = [n for n in range(2, 5000) if all(n % d for d in range(2, isqrt(n) + 1))]
+        assert [n for n in range(-3, 5000) if abelcover.cli._is_prime(n)] == trial
+        assert abelcover.cli._is_prime(999983) and not abelcover.cli._is_prime(1000003)
+        with pytest.raises(RegistryError, match=r"^p = 1000003 must be a prime <= 1000000$"):
+            examples_registry("elementary", {"p": 1000003})
+        with pytest.raises(RegistryError, match=r"^p = 1 must be a prime <= 1000000$"):
+            examples_registry("zpn-chain", {"p": 1})
+        with pytest.raises(RegistryError,
+                           match=r"^zpqr needs primes p < q < r <= 1000000, got 3, 9, 7$"):
+            examples_registry("zpqr", {"q": 9})
+
     @pytest.mark.parametrize("name, params", [
         ("zpqr", {"p": 4}),
         ("zpqr", {"alpha": 3}),
@@ -912,7 +928,12 @@ class TestGolden:
     with four lines (`classify --json` and plain `hilbert`) has one monomial
     at its top degree 56 and a numerator whose first unequal pair is inside,
     q_6 != q_50, so the palindrome test decides past its outer pairs.
-    The captures are the behaviour contract of the text and JSON reports;
+    Two documents pin the support search when every line has prime order
+    (`classify --json`): (Z/7)^3 with six lines, the diagonal twice under
+    two characters (once written as 2*(1,1,1)), so the pairs' keyed pass
+    answers min_support 2 at the pair {2, 5}; and (Z/10007)^8 with 16
+    lines from random.Random(1), whose search runs to size 8 in about
+    0.5 s.  The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 
     @pytest.mark.parametrize(

@@ -21,12 +21,14 @@ from abelcover import (
 import abelcover.cover
 import abelcover.groups
 from abelcover.classify import gorenstein_lift
+from abelcover.cover import _probe_supports
 from abelcover.groups import closure
 from helpers import (
     brute_canonical,
     brute_image,
     brute_kernel,
     brute_min_support,
+    character_lines,
     exact_det,
     identity,
     prime_lines,
@@ -34,6 +36,8 @@ from helpers import (
     random_group,
     random_total_data,
     reference_hermite,
+    reference_probe_supports,
+    shared_prime_lines,
     single_datum_z105,
     z2cubed_data,
     z3sq_gorenstein,
@@ -353,11 +357,9 @@ class TestKernelK:
                 assert got == exact
             decided = got is not None
 
-    @pytest.mark.parametrize("count", [11, 12])
-    def test_exact_min_support_without_enumeration(self, count):
-        # count lines of (Z/5)^3, so |K| = 5^count / 5^3: 5^8 = 390625 for
-        # 11 lines, which is cheaper to probe than to enumerate, and
-        # 5^9 > 10^6 for 12, past the old enumeration bound.
+    @staticmethod
+    def distinct_lines_z5_cubed(count):
+        """count lines of (Z/5)^3 on distinct subgroups, random.Random(5)."""
         rng = random.Random(5)
         G = AbelianGroup((5, 5, 5))
         lines = {}
@@ -365,7 +367,15 @@ class TestKernelK:
             g = G.element([rng.randrange(5) for _ in range(3)])
             if any(g.residues):
                 lines.setdefault(min((u * g).residues for u in range(1, 5)), g)
-        data = validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines.values())))
+        return validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines.values())))
+
+    @pytest.mark.parametrize("count", [11, 12])
+    def test_exact_min_support_without_enumeration(self, count):
+        # count lines of (Z/5)^3, so |K| = 5^count / 5^3: 5^8 = 390625 for
+        # 11 lines, which is cheaper to probe than to enumerate, and
+        # 5^9 > 10^6 for 12, past the old enumeration bound.
+        data = self.distinct_lines_z5_cubed(count)
+        lines = [datum.generator for datum in data.branch]
         start = perf_counter()
         kd = kernel_of(data)
         elapsed = perf_counter() - start
@@ -375,10 +385,37 @@ class TestKernelK:
         # a kernel element of support 3.
         coplanar = any(
             exact_det([a.residues, b.residues, c.residues]) % 5 == 0
-            for a, b, c in combinations(lines.values(), 3))
+            for a, b, c in combinations(lines, 3))
         assert coplanar
         assert kd.min_support == 3
         assert elapsed < 0.5, f"kernel_K took {elapsed:.3f} s"
+
+    def test_pair_level_probes_nothing_on_prime_orders(self, monkeypatch):
+        # Every line of (Z/5)^3 has prime order, so the pairs are decided by
+        # their canonical generators: the walk starts at size 3, after
+        # folding lines 0 and 1, and its 10th probe, {0, 1, 11}, meets.  A
+        # probe's prefix spans one line iff its basis has pivot product
+        # |G| / 5 = 25; no such probe is made.  Before the pairs were keyed
+        # the same search made 13 folds and 76 probes, 66 of them pairs.
+        data = self.distinct_lines_z5_cubed(12)
+        pres = ramification_factorization(data)
+        fold, pivots = abelcover.cover._hermite_fold, abelcover.cover._fold_pivots
+        folds, probes = [], []
+
+        def counted_fold(moduli, rows, v):
+            folds.append(v)
+            return fold(moduli, rows, v)
+
+        def counted_pivots(moduli, rows, v):
+            probes.append(prod(row[k] for k, row in enumerate(rows)))
+            return pivots(moduli, rows, v)
+
+        monkeypatch.setattr(abelcover.cover, "_hermite_fold", counted_fold)
+        monkeypatch.setattr(abelcover.cover, "_fold_pivots", counted_pivots)
+        assert kernel_K(data, pres).min_support == 3
+        assert len(folds) == 2
+        assert len(probes) == 10
+        assert 25 not in probes
 
     def test_enumeration_respects_limit(self, monkeypatch):
         monkeypatch.setattr(abelcover.groups, "DEFAULT_ENUMERATION_LIMIT", 1)
@@ -386,6 +423,66 @@ class TestKernelK:
         assert kd.order == 2
         assert kd.generators  # still reported
         assert kd.min_support is None
+
+
+class TestPairKeys:
+    """The size-2 level of the support search, keyed by canonical generators
+    when every line has prime order and the budget pays for every pair,
+    against the search that probes every pair
+    (helpers.reference_probe_supports), at budgets around the first meeting
+    pair and around the end of the pairs, where the keyed pass starts."""
+
+    @staticmethod
+    def first_meeting_pair(data):
+        """The lexicographic index of the first pair of lines whose
+        subgroups meet nontrivially, from their enumerated multiples."""
+        multiples = [{(k * datum.generator).residues for k in range(1, datum.order)}
+                     for datum in data.branch]
+        return next((index for index, (a, b) in enumerate(combinations(multiples, 2)) if a & b),
+                    None)
+
+    def check_budgets(self, data):
+        s = data.size
+        pairs = s * (s - 1) // 2
+        budgets = {0, 1, pairs - 1, pairs, pairs + 1, 10**6,
+                   ramification_factorization(data).kernel_order}
+        first = self.first_meeting_pair(data)
+        if first is not None:
+            budgets |= {first - 1, first, first + 1}
+        for budget in sorted(b for b in budgets if b >= 0):
+            assert _probe_supports(data, budget) == reference_probe_supports(data, budget), budget
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_character_lines(self, seed):
+        self.check_budgets(character_lines(random.Random(seed)))
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_mixed_orders(self, seed):
+        rng = random.Random(seed)
+        while True:
+            try:
+                data = random_data(
+                    rng, random_group(rng, max_order=512), min_branch=3, max_branch=6)
+                break
+            except RuntimeError:  # too few distinct lines in a small group
+                continue
+        self.check_budgets(data)
+
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans())
+    def test_shared_subgroups(self, seed, validated):
+        # Drawn with generators u*g, so unvalidated data can write one
+        # subgroup with two generators; its pairs meet all the same.
+        data = shared_prime_lines(random.Random(seed))
+        if validated:
+            data = validate(data)
+        self.check_budgets(data)
+
+    def test_shared_subgroups_meet_at_varied_pairs(self):
+        # The sampler's first meeting pair falls at many positions, and some
+        # draws have none.
+        firsts = {self.first_meeting_pair(shared_prime_lines(random.Random(seed)))
+                  for seed in range(200)}
+        assert None in firsts and len(firsts - {None}) >= 10
 
 
 class TestLocallySimple:

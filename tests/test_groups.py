@@ -4,7 +4,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 from time import perf_counter
 
 import pytest
@@ -29,7 +29,8 @@ from abelcover import (
 import abelcover.cover
 import abelcover.groups
 from abelcover.cli import EXIT_INTERNAL, ExampleEntry, main, parse_input
-from abelcover.groups import _Frozen, _fold_pivots, _hermite, _hermite_fold, closure
+from abelcover.groups import (
+    _Frozen, _fold_pivots, _hermite, _hermite_fold, closure, proven_prime)
 from helpers import (
     assert_snf_contract,
     brute_character_solutions,
@@ -154,6 +155,49 @@ def sum_map_data(group: AbelianGroup, generators) -> CombinatorialData:
     """Data whose sum map sends the i-th standard generator of
     H = Z/d_1 + ... + Z/d_s to generators[i], d_i = ord(generators[i])."""
     return CombinatorialData(group, tuple(BranchDatum(g, 1) for g in generators))
+
+
+class TestProvenPrime:
+    def test_agrees_with_a_sieve(self):
+        n = 2 * 10**5
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for p in range(2, int(n**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+        assert [k for k in range(n) if proven_prime(k)] == [k for k in range(n) if sieve[k]]
+        assert not any(proven_prime(k) for k in range(-5, 2))
+
+    @pytest.mark.parametrize("n, factors", [
+        # Strong pseudoprimes to the bases 2..7, 2..23 and 2..37.
+        (3215031751, (151, 751, 28351)),
+        (3825123056546413051, (149491, 747451, 34233211)),
+        (318665857834031151167461, (399165290221, 798330580441)),
+    ])
+    def test_rejects_strong_pseudoprimes(self, n, factors):
+        assert prod(factors) == n
+        assert not proven_prime(n)
+
+    def test_nothing_proven_at_or_past_the_bound(self):
+        # The bound is a strong pseudoprime to every base 2..41, so the test
+        # would pass it; it is refused, and so is every prime past it.
+        sympy = pytest.importorskip("sympy")
+        bound = abelcover.groups._PRIME_BOUND
+        assert bound == 3317044064679887385961981 == 1287836182261 * 2575672364521
+        assert not proven_prime(bound)
+        assert proven_prime(sympy.prevprime(bound))
+        assert not proven_prime(sympy.nextprime(bound))
+        assert not proven_prime(2**89 - 1)
+
+    @given(st.integers(min_value=2, max_value=3317044064679887385961980))
+    def test_agrees_with_sympy_below_the_bound(self, n):
+        # A uniform draw is nearly always composite, so the next prime and a
+        # product of two primes near the square root are tried as well.
+        sympy = pytest.importorskip("sympy")
+        p, q = sympy.nextprime(n // 2), sympy.nextprime(isqrt(n))
+        for k in (n, p, q * sympy.nextprime(q)):
+            if k < 3317044064679887385961981:
+                assert proven_prime(k) == sympy.isprime(k), k
 
 
 class TestKernelAndImage:
