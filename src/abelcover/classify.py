@@ -1,8 +1,9 @@
 """Decision layer: Gorenstein through four independent routes, the complete
 intersection decision table, smoothness, and the aggregated report.
 
-Every verdict is local at the chosen point.  Versions of the deciders that
-need the fiber ring run on the totally ramified restriction; the Gorenstein
+Every verdict is local at the chosen point.  The deciders that need the
+fiber ring run on the ring of the totally ramified part, the cover through
+the image M of the sum map, built from the input's lines; the Gorenstein
 truth value is unchanged by that restriction because characters of the image
 subgroup extend to the whole group."""
 
@@ -21,6 +22,7 @@ from .cover import (
 from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
     build_fiber_ring,
+    build_image_ring,
     hilbert_palindromic,
     socle_basis,
 )
@@ -57,8 +59,9 @@ class CrossCheckError(RuntimeError):
 class GorensteinChecks(_Frozen):
     """Outcome of each Gorenstein route, built from (lift, watanabe, socle,
     hilbert_palindromic).  `socle` and `hilbert_palindromic` are None when
-    the fiber ring was not built (group order over the bound, or a ring past
-    the representation caps of build_fiber_ring)."""
+    the fiber ring was not built: the order |M| of the image of the sum map,
+    the ring's dimension, over the bound, or a ring past the representation
+    caps of build_fiber_ring."""
 
     __slots__ = _fields = ("lift", "watanabe", "socle", "hilbert_palindromic")
 
@@ -146,8 +149,15 @@ def classify(
     """Full local classification of valid combinatorial data.
 
     Presents the sum map once, runs every decider from that presentation
-    (the fiber routes on the totally ramified part, through one fiber ring),
-    and asserts that all computed Gorenstein routes agree before reporting.
+    and the input, and asserts that all computed Gorenstein routes agree
+    before reporting.  The fiber routes run on one fiber ring, that of the
+    totally ramified part, built with no Smith form: by build_fiber_ring
+    from the input itself when the presentation says it is totally
+    ramified, and otherwise by build_image_ring from the echelon basis of
+    the image of alpha, whose order must be the presentation's |M|.  So
+    they read the input's lines and characters, and of the presentation
+    only whether it is totally ramified and |M|; classify never reads its
+    `restricted` part.
     The lift solves its own congruences on the ambient group.  It shares
     the Hermite fold with the presentation, but on another lattice (the
     graph of its constraints in (Z/L)^k + G, not the graph of nu in G + H),
@@ -161,23 +171,25 @@ def classify(
     pairs from both ends and stops at the first that differs; on one-byte
     degree fields it counts no tally there either.  The solver confirms
     a lift it finds but not the absence of one: a missed lift shows up
-    here, as a disagreement with the other routes.  When build_fiber_ring
-    refuses the ring (LimitExceeded: over `fiber_order_limit` or past its
-    representation caps), the fiber routes are recorded as skipped (None)
+    here, as a disagreement with the other routes.  When the builder
+    refuses the ring (LimitExceeded: |M| over `fiber_order_limit` or past
+    the representation caps), the fiber routes are recorded as skipped (None)
     rather than aborting the report; the lift and SL routes always run.
     The lci table reads the cross-checked SL verdict, so the SL test runs
     once.
     """
     presentation = ramification_factorization(data)
     kd = kernel_K(data, presentation)
-    restricted = presentation.restricted
 
     certificate = gorenstein_lift(data)
     watanabe = gorenstein_watanabe(data, kd)
     socle_ok: bool | None = None
     palindromic: bool | None = None
     try:
-        ring = build_fiber_ring(restricted, order_limit=fiber_order_limit)
+        if presentation.totally_ramified:
+            ring = build_fiber_ring(data, order_limit=fiber_order_limit)
+        else:
+            ring = build_image_ring(data, presentation.image_order, order_limit=fiber_order_limit)
     except LimitExceeded:
         pass
     else:

@@ -4,6 +4,7 @@ presentation of the sum map that carries its kernel and the totally-ramified
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from . import groups
@@ -197,24 +198,57 @@ def sum_map(data: CombinatorialData) -> list[list[int]]:
 
 
 class SumMapPresentation(_Frozen):
-    """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G, presented once per input.
+    """The sum map nu: H = Z/d_1 + ... + Z/d_s -> G of `data`, presented
+    once per input.
 
-    Its fields (kernel_gens, kernel_order, image_order, etale_index,
-    restricted) all come from the one Hermite basis of sum_map, plus a
-    Smith normal form of its H block when nu is not surjective:
+    Its fields (data, kernel_gens, kernel_order, image_order, etale_index)
+    come from the one Hermite basis of sum_map:
 
     * K = ker(nu): generators (elements of H) and the order |H| / |M|;
-    * M = im(nu): its order and the etale index |T| = |G| / |M|;
-    * the branch data rewritten inside M, the totally ramified part of the
-      cover, which is the input itself when nu is surjective.
+    * M = im(nu): its order and the etale index |T| = |G| / |M|.
+
+    Derived state, made on first read and kept in the instance __dict__
+    (no __slots__), as FiberRing keeps its own: `restricted`, the branch
+    data rewritten inside M, the totally ramified part of the cover.  Only
+    the commands whose output names M's characters read it; classify does
+    not.  Copies and pickles carry the fields only.
     """
 
-    __slots__ = _fields = (
-        "kernel_gens", "kernel_order", "image_order", "etale_index", "restricted")
+    _fields = ("data", "kernel_gens", "kernel_order", "image_order", "etale_index")
 
     @property
     def totally_ramified(self) -> bool:
         return self.etale_index == 1
+
+    @cached_property
+    def restricted(self) -> CombinatorialData:
+        """The branch data rewritten inside M: the input itself when nu is
+        surjective.  Otherwise M ~ Z^s / (K + dZ^s) is presented abstractly
+        through the Smith normal form U B V = D of the H block B of
+        sum_map, whose rows span that lattice (see
+        ramification_factorization); only D and V are needed.  Right
+        multiplication by V carries the lattice onto the row span of D, so
+        each branch generator e_j moves to row j of V, reduced mod the
+        invariant factors, and is written against its canonical generator
+        in M."""
+        data = self.data
+        if self.totally_ramified:
+            return data
+        r = data.group.rank
+        D, V = smith_normal_form([row[r:] for row in sum_map(data)[r:]])
+        diag = [row[i] for i, row in enumerate(D)]
+        if prod(diag) != self.image_order:
+            raise ArithmeticError("image presentation disagrees with image order")
+        kept = [i for i, d in enumerate(diag) if d > 1]
+        subgroup = AbelianGroup(tuple(diag[i] for i in kept))
+        new_branch = []
+        for j, datum in enumerate(data.branch):
+            moved = BranchDatum(
+                subgroup.element([V[j][i] % diag[i] for i in kept]), datum.char_residue)
+            if moved.order != datum.order:
+                raise ArithmeticError("generator order changed under restriction")
+            new_branch.append(moved.canonical())
+        return CombinatorialData(subgroup, tuple(new_branch))
 
 
 def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
@@ -237,11 +271,9 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
     gcd(p, q) < d_i), so it is d_i e_i, zero in H; the other rows are
     nonzero, and distinct, since their pivots sit in different columns.
 
-    When nu is not surjective, M ~ Z^s / (K + dZ^s) is presented abstractly
-    through the Smith normal form U B V = D of the H block B, whose rows
-    span that lattice; only D and V are needed.  Right multiplication by V
-    carries it onto the row span of D, so each branch generator e_j moves
-    to row j of V, reduced mod the invariant factors.
+    It runs no Smith form: the branch data rewritten inside M, which needs
+    the Smith form of the H block when nu is not surjective, is the
+    presentation's `restricted`, made on first read.
     """
     rows = sum_map(data)
     r, orders = data.group.rank, data.orders
@@ -250,25 +282,7 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
     block = [row[r:] for row in rows[r:]]
     source = AbelianGroup(orders)
     gens = tuple(source.element(y) for i, (y, d) in enumerate(zip(block, orders)) if y[i] < d)
-
-    restricted = data
-    if etale_index > 1:
-        D, V = smith_normal_form(block)
-        diag = [row[i] for i, row in enumerate(D)]
-        if prod(diag) != image_order:
-            raise ArithmeticError("image presentation disagrees with image order")
-        kept = [i for i, d in enumerate(diag) if d > 1]
-        subgroup = AbelianGroup(tuple(diag[i] for i in kept))
-        new_branch = []
-        for j, datum in enumerate(data.branch):
-            moved = BranchDatum(
-                subgroup.element([V[j][i] % diag[i] for i in kept]), datum.char_residue)
-            if moved.order != datum.order:
-                raise ArithmeticError("generator order changed under restriction")
-            new_branch.append(moved.canonical())
-        restricted = CombinatorialData(subgroup, tuple(new_branch))
-    return SumMapPresentation(
-        gens, source.order // image_order, image_order, etale_index, restricted)
+    return SumMapPresentation(data, gens, source.order // image_order, image_order, etale_index)
 
 
 class KernelDescription(_Frozen):

@@ -15,11 +15,11 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress, islice, repeat
-from math import comb
+from math import comb, prod
 from operator import mul, or_, sub
 
 from . import groups
-from .groups import AbelianGroup, Character, LimitExceeded, _Frozen
+from .groups import AbelianGroup, Character, LimitExceeded, _Frozen, _hermite
 from .cover import CombinatorialData, SumMapPresentation, psi_weights
 
 #: Largest group order for which the fiber ring is materialized.  The ring
@@ -38,6 +38,12 @@ DEFAULT_HILBERT_DEGREE = 12
 #: format that reads the fields back as unsigned ints.
 _ENDIAN = "le" if sys.byteorder == "little" else "be"
 _FIELDS = ((1, "latin-1", "B"), (2, f"utf-16-{_ENDIAN}", "H"), (4, f"utf-32-{_ENDIAN}", "I"))
+
+#: Pairs of coefficients that hilbert_palindromic compares by count before
+#: it reads the tally.  One Counter over n one-byte degrees costs about as
+#: much as 60 bytes.count passes over them (28 at n = 60, 50-68 at
+#: n = 256-4096; Python 3.11.7, 2 vCPU), and a pair is two passes.
+_PALINDROME_PAIRS = 30
 
 #: Turns the binary digits of a bitset into bytes 0 and 1, selectors for
 #: itertools.compress.
@@ -83,7 +89,10 @@ class FiberRing(_Frozen):
     Built from (group, orders, columns): the group, the orders d_i of the
     branch lines and one string per coordinate i whose character k has
     ordinal alpha_i at index k.  The trivial character (index 0) is the
-    identity; all nonzero structure constants are 1.
+    identity; all nonzero structure constants are 1.  A ring from
+    build_image_ring is indexed by the digit strings of an echelon basis
+    instead, the "characters" of AbelianGroup(radices), which name no
+    character of the cover; its index 0 is still the identity.
 
     Derived state, made from the columns and kept in the instance __dict__
     (no __slots__): the total `degrees`, summed by build_fiber_ring for its
@@ -255,28 +264,14 @@ class FiberRing(_Frozen):
 
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
-    """Construct the fiber ring of valid, totally ramified data.
+    """Construct the fiber ring of valid, totally ramified data, indexed by
+    the characters of its group.
 
     alpha_i(chi) solves psi_i^alpha_i = chi on H_i.  alpha is a homomorphism
     from the character group to prod Z/d_i, so it is fixed by the images of
-    the unit characters e_j: alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j)
-    mod d_i.
-
-    The ring is built as one string per coordinate i, whose character k has
-    ordinal alpha_i at basis index k.  A column starts as "\\0", the value at
-    the empty digit string, and takes the moduli from last to first,
-    prepending one digit per step: index c_j * (m_{j+1} ... m_r) + k holds
-    column[k] + c_j * t mod d_i, with t = alpha_i(e_j).  So the new column
-    is m_j copies of the old one, copy c translated by c * t, and it is
-    built by doubling: a block of the first c copies is extended by itself
-    translated by c * t mod d_i, through the table values[u:] + values[:u]
-    with u = c * t mod d_i and values = [0, 1, ..., d_i - 1].  The last
-    extension takes only the copies still missing, so that no copy past the
-    m_j-th is built, and a step costs O(log m_j) translations; a zero step
-    repeats the column.  The indices come out in lexicographic order.  A
-    character holds exponents up to 0x10FFFF, and the degrees are summed in
-    fields of at most 32 bits (FiberRing.degrees), so a ring past either cap
-    raises LimitExceeded before any column is built.
+    the unit characters e_j (_unit_steps), and the columns are built by
+    _columns over the moduli of G with the steps alpha(e_j).  The indices
+    come out in lexicographic residue order.
 
     alpha is injective exactly when the data is totally ramified: its kernel
     is the set of characters trivial on every H_i, which is nontrivial iff
@@ -287,11 +282,63 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     the ring sums its degrees at build, which classify's fiber routes read
     anyway, and the check is one search of them for a second degree-0
     field (FiberRing.indices).  It is a precondition, not a Gorenstein
-    route: classify passes the totally ramified part of its presentation of
-    the sum map, and the fiber routes read only the ring."""
+    route.  Etale data goes through ramification_factorization first, whose
+    `restricted` part is totally ramified; classify builds the same ring's
+    exponent vectors with build_image_ring instead."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
+    ring = FiberRing(data.group, data.orders,
+                     _columns(data.orders, data.group.moduli, _unit_steps(data)))
+    if len(list(islice(ring.indices(0), 2))) != 1:
+        raise ValueError(
+            "data is not totally ramified; factor it first with "
+            "ramification_factorization and build the ring of its restricted part")
+    return ring
+
+
+def build_image_ring(data: CombinatorialData, image_order: int, *,
+                     order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
+    """The fiber ring of the totally ramified part of valid data, the cover
+    through M = im(nu) of order `image_order`, built from the lines of
+    `data` alone, with no Smith form.
+
+    The characters of M are the restrictions of those of G, so the exponent
+    vectors of M's ring are the image of alpha on G's characters: the
+    subgroup of sum Z/d_i that the unit steps alpha(e_j) generate.  The
+    steps are folded into the Hermite basis of that subgroup over the d_i
+    (_hermite).  Row b_k has its pivot p_k in column k, and a row whose
+    pivot is d_k is d_k e_k, zero in the sum.  The other rows, with digits
+    c_k in [0, d_k / p_k), give sum_k c_k b_k once for each element of the
+    image: if two digit strings gave one element, their difference would
+    have a first nonzero digit c_k, and coordinate k would be c_k p_k with
+    0 < |c_k p_k| < d_k, which is not 0 mod d_k.  Their number is
+    prod d_k / p_k, the order of the image, which must be `image_order`.
+    So the columns are built by _columns over the radices d_k / p_k with
+    the steps b_k, and the index group is AbelianGroup(radices): its
+    "characters" are the digit strings, which name no character of M.  No
+    vector repeats, so the ring needs no check of total ramification.
+
+    The bound is read against |M| before any fold, and the ring shares the
+    caps of build_fiber_ring."""
+    if image_order > order_limit:
+        raise LimitExceeded(f"image order {image_order} exceeds the fiber bound {order_limit}")
+    orders = data.orders
+    basis = _hermite(orders, _unit_steps(data))
+    digits = [k for k, d in enumerate(orders) if basis[k][k] < d]
+    radices = tuple(orders[k] // basis[k][k] for k in digits)
+    rows = [basis[k] for k in digits]
+    if prod(radices) != image_order:
+        raise ArithmeticError("image ring disagrees with the image order")
+    return FiberRing(AbelianGroup(radices), orders, _columns(orders, radices, rows))
+
+
+def _unit_steps(data: CombinatorialData) -> list[list[int]]:
+    """The exponent vectors alpha(e_j) of the unit characters e_j of G, one
+    list per generator j: alpha_i(e_j) = a_i^-1 * (g_ij * d_i / m_j) mod
+    d_i.  A character holds exponents up to 0x10FFFF, and the degrees are
+    summed in fields of at most 32 bits (FiberRing.degrees), so data past
+    either cap raises LimitExceeded here, before any step or column."""
     moduli, orders = data.group.moduli, data.orders
     if max(orders, default=1) - 1 > sys.maxunicode:
         raise LimitExceeded(
@@ -311,11 +358,30 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 raise ArithmeticError("character value outside the inertia dual")
             step.append(inverse * (num // m) % d)
         steps.append(step)
+    return steps
+
+
+def _columns(orders: Sequence[int], radices: Sequence[int], steps: Sequence[Sequence[int]]) -> tuple[str, ...]:
+    """The columns of the ring whose index k, in mixed radix over `radices`
+    with digits c_j, holds the exponent vector sum_j c_j * steps[j] mod the
+    `orders`: one string per coordinate i, whose character k has ordinal
+    alpha_i at index k.
+
+    A column starts as "\\0", the value at the empty digit string, and takes
+    the radices from last to first, prepending one digit per step: index
+    c_j * (m_{j+1} ... m_r) + k holds column[k] + c_j * t mod d_i, with
+    t = steps[j][i].  So the new column is m_j copies of the old one, copy c
+    translated by c * t, and it is built by doubling: a block of the first c
+    copies is extended by itself translated by c * t mod d_i, through the
+    table values[u:] + values[:u] with u = c * t mod d_i and
+    values = [0, 1, ..., d_i - 1].  The last extension takes only the copies
+    still missing, so that no copy past the m_j-th is built, and a step
+    costs O(log m_j) translations; a zero step repeats the column."""
     columns = []
     for i, d in enumerate(orders):
         values = list(range(d))
         column = "\0"
-        for m, step in zip(reversed(moduli), reversed(steps)):
+        for m, step in zip(reversed(radices), reversed(steps)):
             t = step[i]
             if not t:
                 column *= m
@@ -326,12 +392,7 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                 column += column[:min(c, m - c) * size].translate(values[u:] + values[:u])
                 c *= 2
         columns.append(column)
-    ring = FiberRing(data.group, orders, tuple(columns))
-    if len(list(islice(ring.indices(0), 2))) != 1:
-        raise ValueError(
-            "data is not totally ramified; classify factors covers first "
-            "(ramification_factorization) and works on the restricted part")
-    return ring
+    return tuple(columns)
 
 
 def socle_basis(ring: FiberRing) -> Iterator[Character]:
@@ -455,17 +516,26 @@ def hilbert_palindromic(ring: FiberRing) -> bool:
     top degree D: two indices at the first degree of ring.levels that
     occurs decide False.  Otherwise q_0 = q_D = 1, and the numerator is
     palindromic iff q_d = q_{D-d} for 1 <= d < D / 2 (a middle degree pairs
-    with itself).  The pairs are compared from the outside in through
-    ring.count, and the first that differs decides False: on one-byte
-    degree fields each coefficient is one count of the packed degrees, and
-    no tally is counted.  A palindromic numerator compares every pair, D - 1
-    passes over the packed degrees, which past a top degree of about 50
-    costs more than one tally would (README, "Library")."""
+    with itself).  The first _PALINDROME_PAIRS pairs are compared from the
+    outside in through ring.count, and the first that differs decides
+    False: on one-byte degree fields each coefficient is one count of the
+    packed degrees, and no tally is counted.  Those pairs cost about one
+    tally, so the pairs past them, which only a numerator whose outer pairs
+    agree reaches, are read off ring.tally.  A top degree D below
+    2 * _PALINDROME_PAIRS + 3 has no pair past them, and its test counts no
+    tally."""
     top = next(filter(None, (list(islice(ring.indices(degree), 2)) for degree in ring.levels)))
     if len(top) != 1:
         return False
     D, count = ring.degrees[top[0]], ring.count
-    return all(count(d) == count(D - d) for d in range(1, (D + 1) // 2))
+    pairs = range(1, (D + 1) // 2)
+    if not all(count(d) == count(D - d) for d in pairs[:_PALINDROME_PAIRS]):
+        return False
+    rest = pairs[_PALINDROME_PAIRS:]
+    if not rest:
+        return True
+    tally = ring.tally
+    return all(tally[d] == tally[D - d] for d in rest)
 
 
 def _check_degree_bound(D: int, s: int) -> None:

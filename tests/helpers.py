@@ -7,6 +7,7 @@ in Q/Z are Fractions reduced mod 1, computed from residues."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
@@ -71,6 +72,27 @@ def ring_product(ring, chi: Character, chi2: Character) -> Character | None:
     """w_chi * w_chi2 in the fiber ring, as a character, or None for zero."""
     idx = product_index(ring, ring.index(chi), ring.index(chi2))
     return None if idx is None else ring.character(idx)
+
+
+def count_calls(monkeypatch, modules, names) -> Counter:
+    """Wrap every function of `names` that each of `modules` (modules or
+    classes) holds, so that each call adds one to its name in the returned
+    Counter.  monkeypatch restores the originals.  A wrapper calls the
+    function it replaced, so a call counts once in whichever module it was
+    looked up in."""
+    calls = Counter()
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 # ---------------------------------------------------------------------------

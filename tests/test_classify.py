@@ -41,11 +41,12 @@ from abelcover.classify import (
 )
 import abelcover.cover
 import abelcover.groups
-from abelcover.cli import examples_registry
+from abelcover.cli import EXIT_OK, cmd_factor, cmd_fiber, cmd_socle, examples_registry
 from helpers import (
     chain_law_oracle,
     character_lines,
     character_value,
+    count_calls,
     elementary_lines,
     random_data,
     random_group,
@@ -607,24 +608,30 @@ def test_zpn_chain_work_is_flat_in_the_group_order(monkeypatch, p, s):
     # Above the fiber bound only the presentation runs: at p = 2 that is
     # s + 2 Hermite folds and one pivot pass for every n, no Smith form and
     # no enumeration.
-    calls = dict.fromkeys(COUNTED, 0)
-
-    def counting(name, function):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return function(*args, **kwargs)
-        return counted
-
-    for module in (abelcover.groups, abelcover.cover):
-        for name in COUNTED:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    calls = count_calls(monkeypatch, (abelcover.groups, abelcover.cover), COUNTED)
     seen = {}
     for n in range(s, 64):
         if p**n <= DEFAULT_FIBER_ORDER_LIMIT or (p**n).bit_length() > 64:
             continue
-        calls.update(dict.fromkeys(COUNTED, 0))
+        calls.clear()
         classify(validate(examples_registry("zpn-chain", {"p": p, "n": n, "s": s})))
-        seen[n] = dict(calls)
+        seen[n] = Counter(calls)
     first = seen[min(seen)]
     assert len(seen) > 10 and all(counts == first for counts in seen.values()), seen
     assert first["smith_normal_form"] == first["closure"] == 0
+
+
+def test_classify_runs_no_smith_form_on_an_etale_document(monkeypatch):
+    # Z/105 with the line 5 has etale index 5.  classify builds the ring of
+    # M = Z/21 from an echelon basis of the image, with no Smith form; the
+    # commands whose output names M's characters read the restricted data,
+    # which runs the one Smith form of the H block.
+    data = single_datum_z105()
+    calls = count_calls(monkeypatch, (abelcover.groups, abelcover.cover), ("smith_normal_form",))
+    report = classify(data)
+    assert report.etale_index == 5 and report.cross_checks.socle is not None
+    assert calls["smith_normal_form"] == 0
+    for command in (cmd_factor, cmd_fiber, cmd_socle):
+        calls.clear()
+        assert command(data)[1] == EXIT_OK
+        assert calls["smith_normal_form"] == 1

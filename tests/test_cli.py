@@ -56,6 +56,7 @@ from abelcover.cli import (
     report_to_json_dict,
 )
 from helpers import (
+    count_calls,
     cyclic_lines,
     dual_numbers_data,
     elementary_lines,
@@ -432,19 +433,9 @@ class TestCommands:
     def test_one_ring_per_command(self, command, monkeypatch):
         # Each ring command presents the sum map once and builds one ring;
         # hilbert counts off its numerator and lists no monomial.
-        calls = Counter()
-
-        def counting(name, function):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return function(*args, **kwargs)
-            return counted
-
-        for module in (abelcover.cli, abelcover.cover, abelcover.fiber):
-            for name in ("ramification_factorization", "build_fiber_ring",
-                         "invariant_monomials_up_to_degree"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        calls = count_calls(
+            monkeypatch, (abelcover.cli, abelcover.cover, abelcover.fiber),
+            ("ramification_factorization", "build_fiber_ring", "invariant_monomials_up_to_degree"))
         for data in (z2cubed_data(), single_datum_z105(), zpqr_data(), dual_numbers_data()):
             calls.clear()
             assert command(data)[1] == EXIT_OK

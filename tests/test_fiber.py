@@ -2,8 +2,11 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
+from math import gcd, prod
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -13,8 +16,10 @@ from abelcover import (
     AbelianGroup,
     BranchDatum,
     CombinatorialData,
+    InvalidCoverData,
     LimitExceeded,
     build_fiber_ring,
+    build_image_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     ramification_factorization,
@@ -23,12 +28,15 @@ from abelcover import (
 )
 import abelcover.groups
 from abelcover.classify import gorenstein_lift
-from abelcover.fiber import hilbert_palindromic
+from abelcover.cli import parse_input
+from abelcover.fiber import _PALINDROME_PAIRS, FiberRing, hilbert_palindromic
 from helpers import (
     brute_discrete_log,
     brute_kernel,
+    character_lines,
     character_value,
     characters_of,
+    count_calls,
     cyclic_lines,
     dual_numbers_data,
     elementary_lines,
@@ -38,6 +46,7 @@ from helpers import (
     random_total_data,
     ring_product,
     series_counts,
+    single_datum_z105,
     z2cubed_data,
     z3_two_datum,
     zpqr_data,
@@ -633,6 +642,52 @@ class TestHilbertNumerator:
         assert not numerator.palindromic
         assert hilbert_palindromic(copy.copy(ring)) == numerator.palindromic
 
+    def test_palindromic_pairs_stop_at_the_cap(self, monkeypatch):
+        # Z/128 + Z/32 with its coordinate lines (|G| = 4096, D = 158) is
+        # Gorenstein, and its numerator is palindromic: the test compares
+        # _PALINDROME_PAIRS pairs by count, about one tally's worth, and
+        # reads the other 48 off the tally.
+        G = AbelianGroup((128, 32))
+        ring = build_fiber_ring(validate(CombinatorialData(
+            G, tuple(BranchDatum(e, 1) for e in G.generators()))))
+        assert ring.degrees.itemsize == 1 and max(ring.degrees) == 158
+        calls = count_calls(monkeypatch, (FiberRing,), ("count",))
+        assert hilbert_palindromic(ring)
+        assert calls["count"] <= 2 * _PALINDROME_PAIRS
+        assert "tally" in ring.__dict__
+
+    @pytest.mark.parametrize("d", [1, _PALINDROME_PAIRS, _PALINDROME_PAIRS + 1, 49])
+    def test_one_unequal_pair_on_either_side_of_the_cap(self, d):
+        # One column of order 101 whose numerator is 1 + t + ... + t^100
+        # with one more monomial at degree d: only the pair (d, 100 - d)
+        # differs, whether it is counted or read off the tally.
+        column = "".join(map(chr, [*range(101), d]))
+        ring = FiberRing(AbelianGroup((len(column),)), (101,), (column,))
+        assert ring.degrees.itemsize == 1
+        assert not hilbert_numerator(copy.copy(ring)).palindromic
+        assert not hilbert_palindromic(ring)
+        flat = FiberRing(AbelianGroup((101,)), (101,), (column[:-1],))
+        assert hilbert_palindromic(flat)
+
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(("coordinate", "extra", "cyclic", "character", "random")))
+    @example(104, "extra")
+    @example(1194, "extra")
+    @example(1261, "cyclic")
+    @example(0, "extra")
+    def test_palindromic_matches_the_numerator(self, seed, source):
+        # Coordinate lines on Z/m_1 + ... + Z/m_k give palindromic
+        # numerators with top degrees up to a few hundred, one-byte and
+        # two-byte fields, so the pairs run past the cap; one extra line
+        # makes most of them unequal somewhere.  In the examples the first
+        # unequal pair lies past the cap, on one-byte fields at d = 31, 61
+        # and 39, and on two-byte fields at d = 42.
+        ring = palindrome_ring(seed, source)
+        numerator = hilbert_numerator(copy.copy(ring))
+        assert hilbert_palindromic(copy.copy(ring)) == numerator.palindromic
+        if source == "coordinate":
+            assert numerator.palindromic
+
     def test_total_count_and_degree_bound(self):
         rng = random.Random(59)
         for _ in range(15):
@@ -641,6 +696,36 @@ class TestHilbertNumerator:
             assert sum(numerator.coefficients) == data.group.order
             assert len(numerator.coefficients) - 1 <= sum(d - 1 for d in data.orders)
             assert numerator.coefficients[0] == 1
+
+
+def palindrome_ring(seed, source):
+    """A ring for the palindrome differential: Z/m_1 + ... + Z/m_k (k <= 3,
+    |G| <= 4096) with its coordinate lines and random characters, or the
+    same with one more random line ("extra"), or from cyclic_lines,
+    character_lines or random_total_data."""
+    rng = random.Random(seed)
+    if source in ("coordinate", "extra"):
+        while True:
+            moduli = tuple(rng.randint(2, 300) for _ in range(rng.randint(1, 3)))
+            if prod(moduli) <= 4096:
+                break
+        G = AbelianGroup(moduli)
+        branch = [BranchDatum(e, rng.choice([a for a in range(1, m) if gcd(a, m) == 1]))
+                  for e, m in zip(G.generators(), moduli)]
+        if source == "extra":
+            g = G.element([rng.randrange(m) for m in moduli])
+            d = g.order()
+            if d > 1:
+                branch.append(BranchDatum(g, rng.choice([a for a in range(1, d) if gcd(a, d) == 1])))
+        try:
+            return build_fiber_ring(validate(CombinatorialData(G, tuple(branch))))
+        except InvalidCoverData:  # the extra line repeats a pair
+            return build_fiber_ring(validate(CombinatorialData(G, tuple(branch[:len(moduli)]))))
+    if source == "cyclic":
+        return build_fiber_ring(cyclic_lines(rng, rng.randint(2, 600), rng.randint(1, 3)))
+    if source == "character":
+        return build_fiber_ring(character_lines(rng))
+    return build_fiber_ring(random_total_data(rng, max_order=512, max_branch=5))
 
 
 def top_level_ring(seed, source):
@@ -765,3 +850,63 @@ class TestInvariantMonomials:
             for alpha in monomials(data, 12):
                 counts[sum(alpha)] += 1
             assert counts == expected
+
+
+#: The etale golden documents: (Z/2)^12 with 11 coordinate lines and their
+#: diagonal (|M| = 2048), and (Z/2)^14 with 12 or 13 of them (|M| = 4096,
+#: at the bound, and 8192, past it).
+ETALE_GOLDENS = ("z2pow12-11lines-diagonal", "z2pow14-12lines-diagonal", "z2pow14-13lines-diagonal")
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def image_ring_sample(seed, source):
+    """Valid data for the image ring differential: random_data over a random
+    group (etale or totally ramified), character_lines, or an etale golden
+    document."""
+    rng = random.Random(seed)
+    if source == "random":
+        while True:
+            try:
+                return random_data(rng, random_group(rng, max_order=512), max_branch=4)
+            except RuntimeError:
+                continue
+    if source == "character":
+        return character_lines(rng)
+    name = ETALE_GOLDENS[seed % len(ETALE_GOLDENS)]
+    return validate(parse_input((GOLDEN / f"{name}.json").read_text()))
+
+
+class TestImageRing:
+    @given(st.integers(min_value=0, max_value=10**6),
+           st.sampled_from(("random", "character", "golden")))
+    @example(0, "golden")
+    @example(1, "golden")
+    @example(2, "golden")
+    def test_image_ring_is_the_ring_of_the_restriction(self, seed, source):
+        # The echelon digits enumerate the image of alpha once each: the
+        # exponent vectors of the ring of M, which the Smith form path
+        # builds from the restricted data.
+        data = image_ring_sample(seed, source)
+        presentation = ramification_factorization(data)
+        limit = max(presentation.image_order, 4096)
+        ring = build_image_ring(data, presentation.image_order, order_limit=limit)
+        vectors = Counter(ring.alphas)
+        assert vectors == Counter(build_fiber_ring(presentation.restricted, order_limit=limit).alphas)
+        assert max(vectors.values()) == 1
+        assert ring.dimension == presentation.image_order
+
+    def test_bound_reads_the_image_order(self, monkeypatch):
+        # (Z/2)^14 with 12 coordinate lines and their diagonal: |G| = 16384
+        # and |M| = 4096.  The bound is read against |M| before any fold.
+        data = image_ring_sample(1, "golden")
+        assert data.group.order == 16384
+        assert build_image_ring(data, 4096).dimension == 4096
+        calls = count_calls(monkeypatch, (abelcover.groups,), ("_hermite_fold",))
+        with pytest.raises(LimitExceeded, match="image order 4096 exceeds the fiber bound 2048"):
+            build_image_ring(data, 4096, order_limit=2048)
+        assert not calls
+
+    def test_rejects_a_wrong_image_order(self):
+        data = single_datum_z105()
+        with pytest.raises(ArithmeticError, match="image ring disagrees with the image order"):
+            build_image_ring(data, 105)
