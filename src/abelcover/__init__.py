@@ -34,7 +34,6 @@ from .fiber import (
     FiberRing,
     HilbertNumerator,
     build_fiber_ring,
-    build_image_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     socle_basis,

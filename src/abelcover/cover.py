@@ -226,16 +226,22 @@ class SumMapPresentation(_Frozen):
         surjective.  Otherwise M ~ Z^s / (K + dZ^s) is presented abstractly
         through the Smith normal form U B V = D of the H block B of
         sum_map, whose rows span that lattice (see
-        ramification_factorization); only D and V are needed.  Right
-        multiplication by V carries the lattice onto the row span of D, so
-        each branch generator e_j moves to row j of V, reduced mod the
-        invariant factors, and is written against its canonical generator
-        in M."""
+        ramification_factorization); only D and V are needed.  B is read
+        back from the kernel generators, with no second fold: row i is the
+        generator whose first nonzero residue sits in column i, and d_i e_i
+        where there is none.  Right multiplication by V carries the lattice
+        onto the row span of D, so each branch generator e_j moves to row j
+        of V, reduced mod the invariant factors, and is written against its
+        canonical generator in M."""
         data = self.data
         if self.totally_ramified:
             return data
-        r = data.group.rank
-        D, V = smith_normal_form([row[r:] for row in sum_map(data)[r:]])
+        orders = data.orders
+        block = [[0] * i + [d] + [0] * (len(orders) - i - 1) for i, d in enumerate(orders)]
+        for gen in self.kernel_gens:
+            y = list(gen.residues)
+            block[next(i for i, c in enumerate(y) if c)] = y
+        D, V = smith_normal_form(block)
         diag = [row[i] for i, row in enumerate(D)]
         if prod(diag) != self.image_order:
             raise ArithmeticError("image presentation disagrees with image order")

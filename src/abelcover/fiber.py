@@ -316,8 +316,10 @@ def build_image_ring(data: CombinatorialData, image_order: int, *,
     prod d_k / p_k, the order of the image, which must be `image_order`.
     So the columns are built by _columns over the radices d_k / p_k with
     the steps b_k, and the index group is AbelianGroup(radices): its
-    "characters" are the digit strings, which name no character of M.  No
-    vector repeats, so the ring needs no check of total ramification.
+    "characters" are the digit strings, which name no character of M, so
+    the package does not export it: socle_basis or ring.character on this
+    ring would print wrong names.  No vector repeats, so the ring needs no
+    check of total ramification.
 
     The bound is read against |M| before any fold, and the ring shares the
     caps of build_fiber_ring."""

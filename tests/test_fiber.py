@@ -19,7 +19,6 @@ from abelcover import (
     InvalidCoverData,
     LimitExceeded,
     build_fiber_ring,
-    build_image_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     ramification_factorization,
@@ -29,7 +28,7 @@ from abelcover import (
 import abelcover.groups
 from abelcover.classify import gorenstein_lift
 from abelcover.cli import parse_input
-from abelcover.fiber import _PALINDROME_PAIRS, FiberRing, hilbert_palindromic
+from abelcover.fiber import _PALINDROME_PAIRS, FiberRing, build_image_ring, hilbert_palindromic
 from helpers import (
     brute_discrete_log,
     brute_kernel,
