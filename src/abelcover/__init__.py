@@ -26,6 +26,7 @@ from .cover import (
     ValidationIssue,
     kernel_K,
     ramification_factorization,
+    restrict,
     sum_map,
     validate,
 )

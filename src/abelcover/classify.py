@@ -156,8 +156,8 @@ def classify(
     ramified, and otherwise by build_image_ring from the echelon basis of
     the image of alpha, whose order must be the presentation's |M|.  So
     they read the input's lines and characters, and of the presentation
-    only whether it is totally ramified and |M|; classify never reads its
-    `restricted` part.
+    only whether it is totally ramified and |M|; classify never calls
+    restrict.
     The lift solves its own congruences on the ambient group.  It shares
     the Hermite fold with the presentation, but on another lattice (the
     graph of its constraints in (Z/L)^k + G, not the graph of nu in G + H),

@@ -22,6 +22,7 @@ from .cover import (
     CombinatorialData,
     InvalidCoverData,
     ramification_factorization,
+    restrict,
     validate,
 )
 from .fiber import (
@@ -440,8 +441,9 @@ def _fiber_ring(doc: CombinatorialData, max_order: int):
     """The sum map's presentation of the validated document and the fiber
     ring of its totally ramified part, within `max_order`."""
     _check_max_order(max_order)
-    presentation = ramification_factorization(validate(doc))
-    return presentation, build_fiber_ring(presentation.restricted, order_limit=max_order)
+    data = validate(doc)
+    presentation = ramification_factorization(data)
+    return presentation, build_fiber_ring(restrict(data, presentation), order_limit=max_order)
 
 
 def cmd_validate(doc: CombinatorialData) -> tuple[str, int]:
@@ -511,8 +513,8 @@ def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = DEFAULT_HILBERT_DEG
     if max_degree < 0:
         raise DocumentError("--max-degree", f"must be >= 0, got {max_degree}")
     ring = _fiber_ring(doc, max_order)[1]
-    numerator = hilbert_numerator(ring)
     _check_degree_bound(max_degree, len(ring.orders))
+    numerator = hilbert_numerator(ring)
     # The invariant ring is free over C[[z_i^d_i]] on the fiber basis, and
     # restriction keeps each d_i, so the counts are the coefficients of
     # numerator(t) / prod(1 - t^d_i): a prefix sum with stride d_i per line.
@@ -534,13 +536,14 @@ def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = DEFAULT_HILBERT_DEG
 def cmd_factor(doc: CombinatorialData) -> tuple[str, int]:
     data = validate(doc)
     presentation = ramification_factorization(data)
+    restricted = restrict(data, presentation)
     lines = [
         f"image subgroup order: {presentation.image_order}",
         f"etale index: {presentation.etale_index}",
         f"totally ramified: {'yes' if presentation.totally_ramified else 'no'}",
-        f"restricted group: {presentation.restricted.group}",
+        f"restricted group: {restricted.group}",
     ]
-    lines += [_branch_line(i, datum) for i, datum in enumerate(presentation.restricted.branch)]
+    lines += [_branch_line(i, datum) for i, datum in enumerate(restricted.branch)]
     return "\n".join(lines) + "\n", EXIT_OK
 
 

@@ -282,9 +282,9 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     the ring sums its degrees at build, which classify's fiber routes read
     anyway, and the check is one search of them for a second degree-0
     field (FiberRing.indices).  It is a precondition, not a Gorenstein
-    route.  Etale data goes through ramification_factorization first, whose
-    `restricted` part is totally ramified; classify builds the same ring's
-    exponent vectors with build_image_ring instead."""
+    route.  Etale data goes through restrict first, whose result is
+    totally ramified; classify builds the same ring's exponent vectors with
+    build_image_ring instead."""
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
@@ -292,8 +292,8 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
                      _columns(data.orders, data.group.moduli, _unit_steps(data)))
     if len(list(islice(ring.indices(0), 2))) != 1:
         raise ValueError(
-            "data is not totally ramified; factor it first with "
-            "ramification_factorization and build the ring of its restricted part")
+            "data is not totally ramified; build the ring of "
+            "restrict(data, ramification_factorization(data)) instead")
     return ring
 
 

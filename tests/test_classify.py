@@ -28,6 +28,7 @@ from abelcover import (
     kernel_K,
     lci_classify,
     ramification_factorization,
+    restrict,
     socle_basis,
     validate,
 )
@@ -41,7 +42,7 @@ from abelcover.classify import (
 )
 import abelcover.cover
 import abelcover.groups
-from abelcover.cli import EXIT_OK, cmd_factor, cmd_fiber, cmd_socle, examples_registry
+from abelcover.cli import EXIT_OK, cmd_factor, cmd_fiber, cmd_hilbert, cmd_socle, examples_registry
 from helpers import (
     chain_law_oracle,
     character_lines,
@@ -69,7 +70,7 @@ def kernel_of(data):
 
 def socle_is_simple(data):
     """Socle test on the fiber ring of the totally ramified restriction."""
-    restricted = ramification_factorization(data).restricted
+    restricted = restrict(data, ramification_factorization(data))
     return len(list(socle_basis(build_fiber_ring(restricted)))) == 1
 
 
@@ -174,7 +175,7 @@ class TestGorensteinSocle:
         assert classify(data) == expected
         assert len(pulls) == 2
         assert expected.cross_checks.socle is False
-        restricted = ramification_factorization(data).restricted
+        restricted = restrict(data, ramification_factorization(data))
         assert len(list(socle_basis(build_fiber_ring(restricted)))) == 4047
 
     def test_palindrome_counts_a_tally_only_on_wide_fields(self, monkeypatch):
@@ -429,7 +430,7 @@ class TestClassify:
             if fact.totally_ramified:
                 continue
             full = classify(data)
-            restricted = classify(fact.restricted)
+            restricted = classify(restrict(data, fact))
             assert full.locally_simple == restricted.locally_simple
             assert full.gorenstein == restricted.gorenstein
             assert full.kernel.order == restricted.kernel.order
@@ -622,18 +623,22 @@ def test_zpn_chain_work_is_flat_in_the_group_order(monkeypatch, p, s):
 
 
 def test_classify_runs_no_smith_form_on_an_etale_document(monkeypatch):
-    # Z/105 with the line 5 has etale index 5.  classify builds the ring of
-    # M = Z/21 from an echelon basis of the image, with no Smith form; the
-    # commands whose output names M's characters read the restricted data,
-    # which runs the one Smith form of the H block.  The block is read back
-    # from the presentation, so the graph lattice is folded once.
-    data = single_datum_z105()
+    # Z/105 with the line 5 has etale index 5 (M = Z/21), and cli-commands'
+    # random:z4^4:etale at seed 1 has etale index 4 (M = (Z/4)^3).  classify
+    # builds the ring of M from an echelon basis of the image, with no Smith
+    # form; the commands whose output names M's characters call restrict
+    # once, which runs the one Smith form of the H block.  The block is read
+    # back from the presentation, so the graph lattice is folded once.
+    z4pow4 = validate(CombinatorialData.from_residues((4, 4, 4, 4), [
+        ((1, 2, 1, 3), 3), ((3, 3, 3, 0), 1), ((3, 0, 1, 0), 3)]))
     calls = count_calls(
         monkeypatch, (abelcover.groups, abelcover.cover), ("smith_normal_form", "sum_map"))
-    report = classify(data)
-    assert report.etale_index == 5 and report.cross_checks.socle is not None
-    assert calls["smith_normal_form"] == 0
-    for command in (cmd_factor, cmd_fiber, cmd_socle):
+    for data, etale_index in ((single_datum_z105(), 5), (z4pow4, 4)):
         calls.clear()
-        assert command(data)[1] == EXIT_OK
-        assert calls["smith_normal_form"] == 1 and calls["sum_map"] == 1
+        report = classify(data)
+        assert report.etale_index == etale_index and report.cross_checks.socle is not None
+        assert calls["smith_normal_form"] == 0
+        for command in (cmd_factor, cmd_fiber, cmd_socle, cmd_hilbert):
+            calls.clear()
+            assert command(data)[1] == EXIT_OK
+            assert calls["smith_normal_form"] == 1 and calls["sum_map"] == 1

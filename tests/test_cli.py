@@ -924,7 +924,13 @@ class TestGolden:
     two characters (once written as 2*(1,1,1)), so the pairs' keyed pass
     answers min_support 2 at the pair {2, 5}; and (Z/10007)^8 with 16
     lines from random.Random(1), whose search runs to size 8 in about
-    0.5 s.  The captures are the behaviour contract of the text and JSON reports;
+    0.5 s.  Two etale documents pin the restriction to M, restrict, on the
+    ring commands: (Z/4)^4 with three lines (cli-commands' random:z4^4:etale
+    at benchmark seed 1; etale index 4, M = (Z/4)^3; `factor`, `socle`,
+    `hilbert --max-degree 10`, `fiber --table` and `classify --json`), and
+    (Z/2)^14 with 13 coordinate lines and their diagonal (`factor`, M =
+    (Z/2)^13, and `socle`, which exits 2 past the fiber bound).
+    The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 
     @pytest.mark.parametrize(

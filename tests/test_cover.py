@@ -15,6 +15,7 @@ from abelcover import (
     InvalidCoverData,
     kernel_K,
     ramification_factorization,
+    restrict,
     sum_map,
     validate,
 )
@@ -514,14 +515,16 @@ class TestRamificationFactorization:
         data = z2cubed_data()
         fact = ramification_factorization(data)
         assert fact.etale_index == 1
-        assert fact.restricted == data
+        assert restrict(data, fact) == data
 
     def test_single_datum_z105(self):
-        fact = ramification_factorization(single_datum_z105())
+        data = single_datum_z105()
+        fact = ramification_factorization(data)
         assert fact.image_order == 21
         assert fact.etale_index == 5
-        assert fact.restricted.group.order == 21
-        assert fact.restricted.branch[0].order == 21
+        restricted = restrict(data, fact)
+        assert restricted.group.order == 21
+        assert restricted.branch[0].order == 21
 
     def test_higher_rank_image(self):
         G = AbelianGroup((4, 4))
@@ -531,8 +534,9 @@ class TestRamificationFactorization:
         )))
         fact = ramification_factorization(data)
         assert fact.image_order == 8 and fact.etale_index == 2
-        assert sorted(fact.restricted.group.moduli) == [2, 4]
-        assert sorted(d.order for d in fact.restricted.branch) == [2, 4]
+        restricted = restrict(data, fact)
+        assert sorted(restricted.group.moduli) == [2, 4]
+        assert sorted(d.order for d in restricted.branch) == [2, 4]
 
     def test_wide_presentation_is_fast(self):
         # 24 lines of (Z/10007)^12: every entry of the Hermite basis stays
@@ -558,7 +562,7 @@ class TestRamificationFactorization:
         for data in (z2cubed_data(), zpqr_data(), z3sq_gorenstein(),
                      prime_lines(random.Random(1), 10007, 4, 8)):
             fact = ramification_factorization(data)
-            assert fact.totally_ramified and fact.restricted == data
+            assert fact.totally_ramified and restrict(data, fact) == data
 
     def test_restricted_is_totally_ramified(self):
         rng = random.Random(23)
@@ -566,12 +570,13 @@ class TestRamificationFactorization:
             data = random_data(rng, random_group(rng, max_order=256), max_branch=4)
             fact = ramification_factorization(data)
             assert fact.image_order * fact.etale_index == data.group.order
-            again = ramification_factorization(fact.restricted)
+            restricted = restrict(data, fact)
+            again = ramification_factorization(restricted)
             assert again.etale_index == 1
-            assert again.restricted == fact.restricted
+            assert restrict(restricted, again) == restricted
             # kernel and local verdict data survive the restriction
             assert again.kernel_order == fact.kernel_order
-            assert kernel_of(fact.restricted).min_support == kernel_of(data).min_support
+            assert kernel_of(restricted).min_support == kernel_of(data).min_support
 
 
 class TestKernelSupports:
@@ -617,7 +622,21 @@ class TestSumMapPresentation:
         assert set(closure(data.orders, [g.residues for g in pres.kernel_gens])) == kernel
         assert pres.image_order == len(brute_image(data))
         assert pres.etale_index * pres.image_order == data.group.order
-        restricted = pres.restricted
+        restricted = restrict(data, pres)
         assert restricted.group.order == pres.image_order
         assert restricted.orders == data.orders
         assert pres.totally_ramified == (restricted == data)
+
+    def test_is_a_plain_value(self):
+        # Four fields on __slots__ and no copy of the input: equality, hash,
+        # pickle and deepcopy see the presentation only.  The restriction to
+        # M is a function of the input and the presentation, and returns
+        # the input itself when nu is onto.
+        for data in (single_datum_z105(), z2cubed_data()):
+            pres = ramification_factorization(data)
+            assert not hasattr(pres, "__dict__")
+            assert pres._fields == ("kernel_gens", "kernel_order", "image_order", "etale_index")
+            for copied in (pickle.loads(pickle.dumps(pres)), copy.deepcopy(pres)):
+                assert copied == pres and hash(copied) == hash(pres)
+        data = z2cubed_data()
+        assert restrict(data, ramification_factorization(data)) is data

@@ -22,6 +22,7 @@ from abelcover import (
     hilbert_numerator,
     invariant_monomials_up_to_degree,
     ramification_factorization,
+    restrict,
     socle_basis,
     validate,
 )
@@ -890,7 +891,8 @@ class TestImageRing:
         limit = max(presentation.image_order, 4096)
         ring = build_image_ring(data, presentation.image_order, order_limit=limit)
         vectors = Counter(ring.alphas)
-        assert vectors == Counter(build_fiber_ring(presentation.restricted, order_limit=limit).alphas)
+        assert vectors == Counter(
+            build_fiber_ring(restrict(data, presentation), order_limit=limit).alphas)
         assert max(vectors.values()) == 1
         assert ring.dimension == presentation.image_order
 
