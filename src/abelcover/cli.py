@@ -13,7 +13,7 @@ import gc
 import json
 import os
 import sys
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from math import gcd
 
 from .groups import LimitExceeded, _Frozen, proven_prime
@@ -480,8 +480,7 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
             f"{presentation.etale_index} disjoint copies of the totally ramified fiber below")
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
-    characters = product(*map(range, ring.group.moduli))
-    for residues, alpha in zip(characters, ring.alphas):
+    for residues, alpha in zip(product(*map(range, ring.radices)), ring.alphas):
         lines.append(f"  w({', '.join(map(str, residues))}) : {list(alpha)} : {sum(alpha)}")
     if table:
         # One label width for the header and every row.
@@ -500,11 +499,19 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
 
 def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LIMIT) -> tuple[str, int]:
     ring = _fiber_ring(doc, max_order)[1]
-    basis = sorted(socle_basis(ring), key=ring.index)
-    lines = [f"socle dimension: {len(basis)}"]
-    for chi in basis:
-        lines.append(f"  w{chi} : exponents {list(ring.alpha(chi))}")
-    lines.append("gorenstein: " + ("yes" if len(basis) == 1 else "no"))
+    # The walk yields in degree order; the names go out in index order,
+    # picked from the digit strings.  Only the socle's exponent vectors are
+    # read: ring.alphas, one per index, would slow the command on large rings.
+    socle = sorted(socle_basis(ring))
+    selectors = bytearray(ring.dimension)
+    for k in socle:
+        selectors[k] = 1
+    names = compress(product(*map(range, ring.radices)), selectors)
+    lines = [f"socle dimension: {len(socle)}"]
+    for k, residues in zip(socle, names):
+        alpha = [ord(column[k]) for column in ring.columns]
+        lines.append(f"  w({', '.join(map(str, residues))}) : exponents {alpha}")
+    lines.append("gorenstein: " + ("yes" if len(socle) == 1 else "no"))
     return "\n".join(lines) + "\n", EXIT_OK
 
 

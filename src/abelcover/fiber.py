@@ -19,7 +19,7 @@ from math import comb, prod
 from operator import mul, or_, sub
 
 from . import groups
-from .groups import AbelianGroup, Character, LimitExceeded, _Frozen, _hermite
+from .groups import LimitExceeded, _Frozen, _hermite
 from .cover import CombinatorialData, SumMapPresentation, psi_weights
 
 #: Largest group order for which the fiber ring is materialized.  The ring
@@ -82,17 +82,18 @@ class _Thresholds(dict):
 
 
 class FiberRing(_Frozen):
-    """dim = |G| algebra with basis {w_chi} and the overflow product rule.
+    """The algebra with one basis monomial per exponent vector of the ring
+    and the overflow product rule.
 
-    Basis index k is the character whose residues are the mixed-radix
-    digits of k against the group's moduli (lexicographic residue order).
-    Built from (group, orders, columns): the group, the orders d_i of the
-    branch lines and one string per coordinate i whose character k has
-    ordinal alpha_i at index k.  The trivial character (index 0) is the
-    identity; all nonzero structure constants are 1.  A ring from
-    build_image_ring is indexed by the digit strings of an echelon basis
-    instead, the "characters" of AbelianGroup(radices), which name no
-    character of the cover; its index 0 is still the identity.
+    Built from (radices, orders, columns): basis index k is the digit
+    string of k in mixed radix over `radices`, in lexicographic order; the
+    orders d_i of the branch lines; and one string per coordinate i whose
+    character k has ordinal alpha_i at index k.  The dimension is
+    prod(radices).  Index 0, the string of zeros, is the identity; all
+    nonzero structure constants are 1.  The ring names no index: the
+    digits are the residues of G's characters on a ring of
+    build_fiber_ring, and the digits of an echelon basis on one of
+    build_image_ring.
 
     Derived state, made from the columns and kept in the instance __dict__
     (no __slots__): the total `degrees`, summed by build_fiber_ring for its
@@ -104,7 +105,7 @@ class FiberRing(_Frozen):
     classify reads the columns and the degrees, never `alphas`; it counts
     the tally only on rings with wider degree fields."""
 
-    _fields = ("group", "orders", "columns")
+    _fields = ("radices", "orders", "columns")
 
     @cached_property
     def alphas(self) -> tuple[tuple[int, ...], ...]:
@@ -203,24 +204,7 @@ class FiberRing(_Frozen):
 
     @property
     def dimension(self) -> int:
-        return self.group.order
-
-    def index(self, chi: Character) -> int:
-        idx = 0
-        for c, m in zip(chi.residues, self.group.moduli):
-            idx = idx * m + c
-        return idx
-
-    def character(self, k: int) -> Character:
-        residues = []
-        for m in reversed(self.group.moduli):
-            k, c = divmod(k, m)
-            residues.append(c)
-        return Character(self.group, tuple(reversed(residues)))
-
-    def alpha(self, chi: Character) -> tuple[int, ...]:
-        k = self.index(chi)
-        return tuple(ord(column[k]) for column in self.columns)
+        return prod(self.radices)
 
     def product_rows(self, names: Iterable, zero) -> Iterator[list]:
         """The rows of the product table in index order: at row i, column j,
@@ -264,8 +248,9 @@ class FiberRing(_Frozen):
 
 
 def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBER_ORDER_LIMIT) -> FiberRing:
-    """Construct the fiber ring of valid, totally ramified data, indexed by
-    the characters of its group.
+    """Construct the fiber ring of valid, totally ramified data, with its
+    group's moduli as the radices: the digits of index k are the residues
+    of a character of G.
 
     alpha_i(chi) solves psi_i^alpha_i = chi on H_i.  alpha is a homomorphism
     from the character group to prod Z/d_i, so it is fixed by the images of
@@ -288,8 +273,8 @@ def build_fiber_ring(data: CombinatorialData, *, order_limit: int = DEFAULT_FIBE
     n = data.group.order
     if n > order_limit:
         raise LimitExceeded(f"group order {n} exceeds the fiber bound {order_limit}")
-    ring = FiberRing(data.group, data.orders,
-                     _columns(data.orders, data.group.moduli, _unit_steps(data)))
+    moduli = data.group.moduli
+    ring = FiberRing(moduli, data.orders, _columns(data.orders, moduli, _unit_steps(data)))
     if len(list(islice(ring.indices(0), 2))) != 1:
         raise ValueError(
             "data is not totally ramified; build the ring of "
@@ -314,12 +299,10 @@ def build_image_ring(data: CombinatorialData, image_order: int, *,
     have a first nonzero digit c_k, and coordinate k would be c_k p_k with
     0 < |c_k p_k| < d_k, which is not 0 mod d_k.  Their number is
     prod d_k / p_k, the order of the image, which must be `image_order`.
-    So the columns are built by _columns over the radices d_k / p_k with
-    the steps b_k, and the index group is AbelianGroup(radices): its
-    "characters" are the digit strings, which name no character of M, so
-    the package does not export it: socle_basis or ring.character on this
-    ring would print wrong names.  No vector repeats, so the ring needs no
-    check of total ramification.
+    So the ring's radices are the d_k / p_k, and its columns are built by
+    _columns over them with the steps b_k.  Its exponent vectors are those
+    of build_fiber_ring on restrict(data, ...), in another index order.  No
+    vector repeats, so the ring needs no check of total ramification.
 
     The bound is read against |M| before any fold, and the ring shares the
     caps of build_fiber_ring."""
@@ -332,7 +315,7 @@ def build_image_ring(data: CombinatorialData, image_order: int, *,
     rows = [basis[k] for k in digits]
     if prod(radices) != image_order:
         raise ArithmeticError("image ring disagrees with the image order")
-    return FiberRing(AbelianGroup(radices), orders, _columns(orders, radices, rows))
+    return FiberRing(radices, orders, _columns(orders, radices, rows))
 
 
 def _unit_steps(data: CombinatorialData) -> list[list[int]]:
@@ -397,11 +380,11 @@ def _columns(orders: Sequence[int], radices: Sequence[int], steps: Sequence[Sequ
     return tuple(columns)
 
 
-def socle_basis(ring: FiberRing) -> Iterator[Character]:
-    """Basis characters of the socle: those chi with w_chi * w_chi' = 0 for
-    every nontrivial chi', yielded in walk order: by total degree from the
-    top down, and by index within a degree.  Never empty; the ring is
-    Gorenstein exactly when it yields one character.
+def socle_basis(ring: FiberRing) -> Iterator[int]:
+    """Basis indices of the socle: those a with w_a * w_b = 0 for every
+    nontrivial b, yielded in walk order: by total degree from the top down,
+    and by index within a degree.  Never empty; the ring is Gorenstein
+    exactly when it yields one index.
 
     w_a is in the socle iff no other exponent vector of the ring dominates a
     componentwise.  If w_a * w_b != 0 for a nontrivial b, then a + b is an
@@ -447,8 +430,8 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
     >>> e1, e2, e3 = G.generators()
     >>> lines = (e1, e2, e3, e1 + e2 + e3)
     >>> data = validate(CombinatorialData(G, tuple(BranchDatum(g, 1) for g in lines)))
-    >>> [chi.residues for chi in socle_basis(build_fiber_ring(data))]
-    [(1, 1, 1)]
+    >>> list(socle_basis(build_fiber_ring(data)))
+    [7]
     """
     n = ring.dimension
     columns = ring.columns
@@ -459,7 +442,7 @@ def socle_basis(ring: FiberRing) -> Iterator[Character]:
         for k in ring.indices(degree):
             if snapshot[k] == "0":
                 found.append(k)
-                yield ring.character(k)
+                yield k
         if not found:
             continue
         thresholds = ring.thresholds

@@ -68,10 +68,14 @@ def product_index(ring, i: int, j: int) -> int | None:
 _basis: list = [None, {}]
 
 
-def ring_product(ring, chi: Character, chi2: Character) -> Character | None:
-    """w_chi * w_chi2 in the fiber ring, as a character, or None for zero."""
-    idx = product_index(ring, ring.index(chi), ring.index(chi2))
-    return None if idx is None else ring.character(idx)
+def character_index(chi: Character) -> int:
+    """The basis index of w_chi in a ring of build_fiber_ring: chi's
+    residues read as mixed-radix digits over its group's moduli, the
+    position of chi in characters_of."""
+    k = 0
+    for c, m in zip(chi.residues, chi.group.moduli):
+        k = k * m + c
+    return k
 
 
 def count_calls(monkeypatch, modules, names) -> Counter:

@@ -929,7 +929,10 @@ class TestGolden:
     at benchmark seed 1; etale index 4, M = (Z/4)^3; `factor`, `socle`,
     `hilbert --max-degree 10`, `fiber --table` and `classify --json`), and
     (Z/2)^14 with 13 coordinate lines and their diagonal (`factor`, M =
-    (Z/2)^13, and `socle`, which exits 2 past the fiber bound).
+    (Z/2)^13, and `socle`, which exits 2 past the fiber bound).  `socle` on
+    (Z/2)^14 with 12 coordinate lines and their diagonal (etale index 4,
+    |M| = 4096) names a socle of 13 characters, the order in which the
+    CLI names the indices of the restricted ring.
     The captures are the behaviour contract of the text and JSON reports;
     they are never regenerated to follow a code change."""
 

@@ -33,6 +33,7 @@ from abelcover.fiber import _PALINDROME_PAIRS, FiberRing, build_image_ring, hilb
 from helpers import (
     brute_discrete_log,
     brute_kernel,
+    character_index,
     character_lines,
     character_value,
     characters_of,
@@ -44,7 +45,6 @@ from helpers import (
     random_data,
     random_group,
     random_total_data,
-    ring_product,
     series_counts,
     single_datum_z105,
     z2cubed_data,
@@ -89,17 +89,21 @@ def brute_span(moduli, generators):
 
 
 def pairwise_socle(ring):
-    """The socle by its definition: the characters whose product with every
-    nontrivial character is zero, in lexicographic order."""
-    characters = list(characters_of(ring.group))
-    return [chi for chi in characters
-            if all(ring_product(ring, chi, other) is None
-                   for other in characters if any(other.residues))]
+    """The socle by its definition: the indices whose product with every
+    nontrivial index is zero, in increasing order."""
+    n = ring.dimension
+    return [k for k in range(n)
+            if all(product_index(ring, k, other) is None for other in range(1, n))]
 
 
 def sorted_socle(ring):
-    """The whole walk of socle_basis, in lexicographic order."""
-    return sorted(socle_basis(ring), key=ring.index)
+    """The whole walk of socle_basis, in index order."""
+    return sorted(socle_basis(ring))
+
+
+def alpha_of(ring, chi):
+    """The exponent vector of w_chi in a ring of build_fiber_ring."""
+    return ring.alphas[character_index(chi)]
 
 
 def toy_z2sq():
@@ -113,23 +117,23 @@ def carries(ring, chi, chi2):
     behind both the fiber product and the linear equivalences of the global
     building data."""
     return tuple((x + y) // d
-                 for x, y, d in zip(ring.alpha(chi), ring.alpha(chi2), ring.orders))
+                 for x, y, d in zip(alpha_of(ring, chi), alpha_of(ring, chi2), ring.orders))
 
 
 class TestAlphaExponents:
     def test_trivial_character(self):
         data = z2cubed_data()
         ring = build_fiber_ring(data)
-        assert ring.alpha(data.group.trivial_character()) == (0, 0, 0, 0)
+        assert alpha_of(ring, data.group.trivial_character()) == (0, 0, 0, 0)
 
     def test_z2cubed_lift(self):
         data = z2cubed_data()
         ring = build_fiber_ring(data)
-        assert ring.alpha(data.group.character((1, 1, 1))) == (1, 1, 1, 1)
+        assert alpha_of(ring, data.group.character((1, 1, 1))) == (1, 1, 1, 1)
 
     def test_z3_two_datum(self):
         data = z3_two_datum()
-        assert build_fiber_ring(data).alpha(data.group.character((1,))) == (1, 2)
+        assert alpha_of(build_fiber_ring(data), data.group.character((1,))) == (1, 2)
 
     def test_requires_totally_ramified(self):
         # One line in (Z/2)^2: the character (0, 1) is trivial on it and
@@ -175,9 +179,9 @@ class TestEpsilon:
                                                 datum.order)
                              for base, datum in zip(bases, data.branch))
 
-            characters = list(characters_of(ring.group))
+            characters = list(characters_of(data.group))
             for chi in characters:
-                assert ring.alpha(chi) == scan(chi)
+                assert alpha_of(ring, chi) == scan(chi)
             chi, chi2 = rng.choice(characters), rng.choice(characters)
             expected = tuple((x + y) // d for x, y, d in zip(scan(chi), scan(chi2), data.orders))
             assert carries(ring, chi, chi2) == expected
@@ -202,9 +206,9 @@ class TestEpsilon:
                 except RuntimeError:  # too few distinct lines, or no total span
                     continue
         ring = build_fiber_ring(data)
-        for k, alpha in enumerate(ring.alphas):
-            chi = ring.character(k)
-            assert alpha == tuple(
+        assert ring.radices == data.group.moduli
+        for chi, vector in zip(characters_of(data.group), ring.alphas, strict=True):
+            assert vector == tuple(
                 int(d * character_value(chi, datum.generator)) * pow(datum.char_residue, -1, d) % d
                 for datum, d in zip(data.branch, data.orders))
 
@@ -213,33 +217,42 @@ class TestFiberRing:
     def test_dual_numbers(self):
         ring = build_fiber_ring(dual_numbers_data())
         assert ring.dimension == 2
-        trivial, chi = characters_of(ring.group)
-        assert ring_product(ring, chi, chi) is None
-        assert ring_product(ring, trivial, chi) == chi
+        assert product_index(ring, 1, 1) is None
+        assert product_index(ring, 0, 1) == 1
 
     def test_index_decodes_in_lexicographic_order(self):
+        # The ring holds digit strings and no group: index k is the k-th
+        # character of characters_of, named by the tests alone.
+        assert FiberRing._fields == ("radices", "orders", "columns")
         rng = random.Random(3)
         for _ in range(5):
-            ring = build_fiber_ring(random_total_data(rng, max_order=96, max_branch=4))
-            for k, chi in enumerate(characters_of(ring.group)):
-                assert ring.character(k) == chi
-                assert ring.index(chi) == k
+            data = random_total_data(rng, max_order=96, max_branch=4)
+            ring = build_fiber_ring(data)
+            assert ring.radices == data.group.moduli
+            characters = list(characters_of(data.group))
+            assert ring.dimension == len(characters)
+            for k, chi in enumerate(characters):
+                assert character_index(chi) == k
+                assert ring.alphas[k] == tuple(
+                    brute_discrete_log(Fraction(datum.char_residue, datum.order),
+                                       character_value(chi, datum.generator), datum.order)
+                    for datum in data.branch)
 
     def test_z2cubed_product(self):
         data = z2cubed_data()
         ring = build_fiber_ring(data)
         assert ring.dimension == 8
-        a = data.group.character((1, 1, 0))
-        b = data.group.character((0, 0, 1))
-        assert ring_product(ring, a, b) == data.group.character((1, 1, 1))
+        a = character_index(data.group.character((1, 1, 0)))
+        b = character_index(data.group.character((0, 0, 1)))
+        assert product_index(ring, a, b) == character_index(data.group.character((1, 1, 1)))
 
     def test_z3_two_datum_zero_product(self):
         data = z3_two_datum()
         ring = build_fiber_ring(data)
         assert ring.dimension == 3
-        c1 = data.group.character((1,))
-        c2 = data.group.character((2,))
-        assert ring_product(ring, c1, c2) is None
+        c1 = character_index(data.group.character((1,)))
+        c2 = character_index(data.group.character((2,)))
+        assert product_index(ring, c1, c2) is None
 
     def test_rejects_partial_ramification(self):
         G = AbelianGroup((105,))
@@ -408,7 +421,7 @@ class TestFiberRing:
             ring = build_fiber_ring(data)
             degs = ring.degrees
             n = ring.dimension
-            characters = list(characters_of(ring.group))
+            characters = list(characters_of(data.group))
             table = ring.product_table()
             for i in range(n):
                 for j in range(n):
@@ -420,7 +433,7 @@ class TestFiberRing:
                     else:
                         assert all(e == 0 for e in eps)
                         assert degs[k] == degs[i] + degs[j]
-                        assert k == ring.index(characters[i] * characters[j])
+                        assert k == character_index(characters[i] * characters[j])
 
 
 def ring_axioms_hold(ring):
@@ -456,16 +469,16 @@ class TestRingAxioms:
 class TestSocle:
     def test_dual_numbers(self):
         ring = build_fiber_ring(dual_numbers_data())
-        basis = socle_basis(ring)
-        assert [chi.residues for chi in basis] == [(1,)]
+        assert list(socle_basis(ring)) == [1]
 
     def test_z2cubed(self):
-        ring = build_fiber_ring(z2cubed_data())
-        assert [chi.residues for chi in socle_basis(ring)] == [(1, 1, 1)]
+        data = z2cubed_data()
+        ring = build_fiber_ring(data)
+        assert list(socle_basis(ring)) == [character_index(data.group.character((1, 1, 1)))]
 
     def test_z3_two_datum(self):
         ring = build_fiber_ring(z3_two_datum())
-        assert {chi.residues for chi in socle_basis(ring)} == {(1,), (2,)}
+        assert set(socle_basis(ring)) == {1, 2}
 
     def test_never_empty_never_trivial(self):
         rng = random.Random(37)
@@ -475,7 +488,7 @@ class TestSocle:
             basis = list(socle_basis(ring))
             assert basis
             if data.size >= 1:
-                assert all(any(chi.residues) for chi in basis)
+                assert 0 not in basis
 
     def test_matches_pairwise_scan(self):
         rng = random.Random(41)
@@ -511,7 +524,7 @@ class TestSocle:
                 validate(CombinatorialData(C, (BranchDatum(C.element((1,)), 1),)))))
         for ring in rings:
             degrees = ring.degrees
-            walk = [degrees[ring.index(chi)] for chi in socle_basis(ring)]
+            walk = [degrees[k] for k in socle_basis(ring)]
             assert walk[0] == max(degrees)
             assert walk == sorted(walk, reverse=True)
             assert sorted_socle(ring) == pairwise_socle(ring)
@@ -554,8 +567,8 @@ class TestSocle:
         for data in wide_order_data():
             ring = build_fiber_ring(data)
             bases = [Fraction(datum.char_residue, datum.order) for datum in data.branch]
-            for chi, alpha in zip(characters_of(ring.group), ring.alphas):
-                for a, base, datum in zip(alpha, bases, data.branch):
+            for chi, vector in zip(characters_of(data.group), ring.alphas, strict=True):
+                for a, base, datum in zip(vector, bases, data.branch):
                     assert 0 <= a < datum.order
                     assert (a * base - character_value(chi, datum.generator)) % 1 == 0
             assert max(data.orders) > 255
@@ -567,7 +580,7 @@ class TestSocle:
     def test_empty_branch_list(self):
         ring = build_fiber_ring(validate(CombinatorialData(AbelianGroup(()), ())))
         assert ring.alphas == ((),)
-        assert sorted_socle(ring) == pairwise_socle(ring) == [ring.group.trivial_character()]
+        assert sorted_socle(ring) == pairwise_socle(ring) == [0]
         assert hilbert_numerator(ring).coefficients == (1,)
         with pytest.raises(ValueError, match="not totally ramified"):
             build_fiber_ring(validate(CombinatorialData(AbelianGroup((2,)), ())))
@@ -597,9 +610,9 @@ class TestSocle:
                 continue
             hits += 1
             ring = build_fiber_ring(data)
-            inverse = ring.group.character(-r for r in cert.residues)
-            assert list(socle_basis(ring)) == [inverse]
-            assert ring.alpha(inverse) == tuple(d - 1 for d in data.orders)
+            inverse = data.group.character(-r for r in cert.residues)
+            assert list(socle_basis(ring)) == [character_index(inverse)]
+            assert alpha_of(ring, inverse) == tuple(d - 1 for d in data.orders)
         assert hits >= 3
 
 
@@ -662,11 +675,11 @@ class TestHilbertNumerator:
         # with one more monomial at degree d: only the pair (d, 100 - d)
         # differs, whether it is counted or read off the tally.
         column = "".join(map(chr, [*range(101), d]))
-        ring = FiberRing(AbelianGroup((len(column),)), (101,), (column,))
+        ring = FiberRing((len(column),), (101,), (column,))
         assert ring.degrees.itemsize == 1
         assert not hilbert_numerator(copy.copy(ring)).palindromic
         assert not hilbert_palindromic(ring)
-        flat = FiberRing(AbelianGroup((101,)), (101,), (column[:-1],))
+        flat = FiberRing((101,), (101,), (column[:-1],))
         assert hilbert_palindromic(flat)
 
     @given(st.integers(min_value=0, max_value=10**6),
@@ -675,6 +688,7 @@ class TestHilbertNumerator:
     @example(1194, "extra")
     @example(1261, "cyclic")
     @example(0, "extra")
+    @example(72267, "character")
     def test_palindromic_matches_the_numerator(self, seed, source):
         # Coordinate lines on Z/m_1 + ... + Z/m_k give palindromic
         # numerators with top degrees up to a few hundred, one-byte and
@@ -702,7 +716,9 @@ def palindrome_ring(seed, source):
     """A ring for the palindrome differential: Z/m_1 + ... + Z/m_k (k <= 3,
     |G| <= 4096) with its coordinate lines and random characters, or the
     same with one more random line ("extra"), or from cyclic_lines,
-    character_lines or random_total_data."""
+    character_lines or random_total_data.  A draw of character_lines can
+    span a proper subgroup (seed 72267: (Z/5)^4, etale index 5), so its
+    ring is that of the restriction."""
     rng = random.Random(seed)
     if source in ("coordinate", "extra"):
         while True:
@@ -724,7 +740,8 @@ def palindrome_ring(seed, source):
     if source == "cyclic":
         return build_fiber_ring(cyclic_lines(rng, rng.randint(2, 600), rng.randint(1, 3)))
     if source == "character":
-        return build_fiber_ring(character_lines(rng))
+        data = character_lines(rng)
+        return build_fiber_ring(restrict(data, ramification_factorization(data)))
     return build_fiber_ring(random_total_data(rng, max_order=512, max_branch=5))
 
 
@@ -748,11 +765,11 @@ def check_top_level_exits(ring):
     numerator = hilbert_numerator(copy.copy(ring))
     assert hilbert_palindromic(copy.copy(ring)) == numerator.palindromic
     degrees = ring.degrees
-    walk = [ring.index(chi) for chi in socle_basis(copy.copy(ring))]
+    walk = list(socle_basis(copy.copy(ring)))
     assert degrees[walk[0]] == max(degrees)
     assert walk == sorted(walk, key=lambda k: (-degrees[k], k))
     socle = pairwise_socle(ring)
-    assert [ring.character(k) for k in sorted(walk)] == socle
+    assert sorted(walk) == socle
     top = sum(ring.orders) - len(ring.orders)
     coefficients = numerator.coefficients
     return (degrees.itemsize, coefficients[-1] >= 2, len(socle) == 1,
@@ -853,9 +870,11 @@ class TestInvariantMonomials:
 
 
 #: The etale golden documents: (Z/2)^12 with 11 coordinate lines and their
-#: diagonal (|M| = 2048), and (Z/2)^14 with 12 or 13 of them (|M| = 4096,
-#: at the bound, and 8192, past it).
-ETALE_GOLDENS = ("z2pow12-11lines-diagonal", "z2pow14-12lines-diagonal", "z2pow14-13lines-diagonal")
+#: diagonal (|M| = 2048), (Z/2)^14 with 12 or 13 of them (|M| = 4096, at
+#: the bound, and 8192, past it), and (Z/4)^4 with three lines (etale index
+#: 4, M = (Z/4)^3).
+ETALE_GOLDENS = ("z2pow12-11lines-diagonal", "z2pow14-12lines-diagonal", "z2pow14-13lines-diagonal",
+                 "z4pow4-3lines-etale")
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -882,19 +901,23 @@ class TestImageRing:
     @example(0, "golden")
     @example(1, "golden")
     @example(2, "golden")
+    @example(3, "golden")
     def test_image_ring_is_the_ring_of_the_restriction(self, seed, source):
         # The echelon digits enumerate the image of alpha once each: the
         # exponent vectors of the ring of M, which the Smith form path
-        # builds from the restricted data.
+        # builds from the restricted data.  The socle walks of the two
+        # rings, each over its own indices, find the same vectors.
         data = image_ring_sample(seed, source)
         presentation = ramification_factorization(data)
         limit = max(presentation.image_order, 4096)
         ring = build_image_ring(data, presentation.image_order, order_limit=limit)
+        named = build_fiber_ring(restrict(data, presentation), order_limit=limit)
         vectors = Counter(ring.alphas)
-        assert vectors == Counter(
-            build_fiber_ring(restrict(data, presentation), order_limit=limit).alphas)
+        assert vectors == Counter(named.alphas)
         assert max(vectors.values()) == 1
         assert ring.dimension == presentation.image_order
+        assert ({ring.alphas[k] for k in socle_basis(ring)}
+                == {named.alphas[k] for k in socle_basis(named)})
 
     def test_bound_reads_the_image_order(self, monkeypatch):
         # (Z/2)^14 with 12 coordinate lines and their diagonal: |G| = 16384
