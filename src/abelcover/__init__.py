@@ -10,7 +10,6 @@ smooth, and constructs the Artinian fiber algebra behind those verdicts.
 
 from .groups import (
     AbelianGroup,
-    Character,
     DEFAULT_ENUMERATION_LIMIT,
     Element,
     LimitExceeded,
@@ -33,7 +32,6 @@ from .cover import (
 from .fiber import (
     DEFAULT_FIBER_ORDER_LIMIT,
     FiberRing,
-    HilbertNumerator,
     build_fiber_ring,
     hilbert_numerator,
     invariant_monomials_up_to_degree,

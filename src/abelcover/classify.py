@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .groups import Character, LimitExceeded, _Frozen, solve_character_congruences
+from .groups import LimitExceeded, _Frozen, solve_character_congruences
 from .cover import (
     CombinatorialData,
     KernelDescription,
@@ -74,16 +74,18 @@ class GorensteinChecks(_Frozen):
 class ClassificationReport(_Frozen):
     """The local verdicts, built from (locally_simple, totally_ramified,
     etale_index, kernel, gorenstein, certificate, cross_checks, lci,
-    lci_reason, smooth, assumptions), the keys of the JSON report in order."""
+    lci_reason, smooth, assumptions), the keys of the JSON report in order.
+    The certificate is gorenstein_lift's residue tuple, or None."""
 
     __slots__ = _fields = (
         "locally_simple", "totally_ramified", "etale_index", "kernel", "gorenstein",
         "certificate", "cross_checks", "lci", "lci_reason", "smooth", "assumptions")
 
 
-def gorenstein_lift(data: CombinatorialData) -> Character | None:
+def gorenstein_lift(data: CombinatorialData) -> tuple[int, ...] | None:
     """A character chi of the ambient group restricting to every psi_i
-    (chi(g_i) = a_i/d_i, with d_i the stored BranchDatum.order), or None.
+    (chi(g_i) = a_i/d_i, with d_i the stored BranchDatum.order), as its
+    residues (c_1, ..., c_r) reduced mod G's moduli, or None.
     The point is Gorenstein exactly when such a lift exists.  Deterministic:
     the lexicographically smallest lift is returned when several exist (only
     possible for non-surjective data)."""
@@ -99,7 +101,7 @@ def gorenstein_watanabe(data: CombinatorialData, kernel: KernelDescription) -> b
     sum_i t_i w_i = 0 mod L."""
     L, weights = psi_weights(data)
     return all(
-        sum(t * w for t, w in zip(gen.residues, weights)) % L == 0
+        sum(t * w for t, w in zip(gen, weights)) % L == 0
         for gen in kernel.generators
     )
 

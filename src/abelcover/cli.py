@@ -163,10 +163,10 @@ def report_json(report: ClassificationReport) -> str:
     This writer builds no cycle."""
     kernel, checks, words = report.kernel, report.cross_checks, _JSON_WORDS
     generators = _json_array(
-        [_json_array(list(map(str, g.residues)), "      ") for g in kernel.generators], "    ")
+        [_json_array(list(map(str, g)), "      ") for g in kernel.generators], "    ")
     support = "null" if kernel.min_support is None else str(kernel.min_support)
     certificate = ("null" if report.certificate is None
-                   else _json_array(list(map(str, report.certificate.residues)), "  "))
+                   else _json_array(list(map(str, report.certificate)), "  "))
     assumptions = _json_array(list(map(_json_string, report.assumptions)), "  ")
     return (
         "{\n"
@@ -205,6 +205,11 @@ def _yesno(value) -> str:
     return "yes" if value else "no"
 
 
+def _residues(values) -> str:
+    """A residue tuple as (a, b, ...), a rank-1 one as (a)."""
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
 def _branch_line(i: int, datum: BranchDatum) -> str:
     return (f"  [{i}] generator {datum.generator}  order {datum.order}"
             f"  character {datum.char_residue}/{datum.order}")
@@ -224,11 +229,11 @@ def render_report(data: CombinatorialData, report: ClassificationReport) -> str:
         f"kernel K: order {report.kernel.order}, min support "
         + (str(support) if support is not None else "n/a"))
     if report.kernel.generators:
-        gens = ", ".join(str(g) for g in report.kernel.generators)
+        gens = ", ".join(map(_residues, report.kernel.generators))
         lines.append(f"  generators: {gens}")
     lines.append(f"gorenstein: {_yesno(report.gorenstein)}")
     if report.certificate is not None:
-        lines.append(f"  certificate: character {report.certificate}")
+        lines.append(f"  certificate: character {_residues(report.certificate)}")
     c = report.cross_checks
     lines.append(
         "  cross-checks: lift=" + _yesno(c.lift)
@@ -481,7 +486,7 @@ def cmd_fiber(doc: CombinatorialData, *, table: bool = False,
     lines.append(f"fiber ring dimension: {ring.dimension}")
     lines.append("basis (character : exponents : degree):")
     for residues, alpha in zip(product(*map(range, ring.radices)), ring.alphas):
-        lines.append(f"  w({', '.join(map(str, residues))}) : {list(alpha)} : {sum(alpha)}")
+        lines.append(f"  w{_residues(residues)} : {list(alpha)} : {sum(alpha)}")
     if table:
         # One label width for the header and every row.
         n = ring.dimension
@@ -510,7 +515,7 @@ def cmd_socle(doc: CombinatorialData, *, max_order: int = DEFAULT_FIBER_ORDER_LI
     lines = [f"socle dimension: {len(socle)}"]
     for k, residues in zip(socle, names):
         alpha = [ord(column[k]) for column in ring.columns]
-        lines.append(f"  w({', '.join(map(str, residues))}) : exponents {alpha}")
+        lines.append(f"  w{_residues(residues)} : exponents {alpha}")
     lines.append("gorenstein: " + ("yes" if len(socle) == 1 else "no"))
     return "\n".join(lines) + "\n", EXIT_OK
 
@@ -525,14 +530,17 @@ def cmd_hilbert(doc: CombinatorialData, *, max_degree: int = DEFAULT_HILBERT_DEG
     # The invariant ring is free over C[[z_i^d_i]] on the fiber basis, and
     # restriction keeps each d_i, so the counts are the coefficients of
     # numerator(t) / prod(1 - t^d_i): a prefix sum with stride d_i per line.
-    counts = [*numerator.coefficients[:max_degree + 1]]
+    counts = [*numerator[:max_degree + 1]]
     counts += [0] * (max_degree + 1 - len(counts))
     for d in ring.orders:
         for r in range(min(d, max_degree + 1)):
             counts[r::d] = accumulate(counts[r::d])
+    # q_0 + q_1*t + q_2*t^2 + ..., with no zero term and no unit factor.
+    terms = [str(q) if d == 0 else ("" if q == 1 else f"{q}*") + ("t" if d == 1 else f"t^{d}")
+             for d, q in enumerate(numerator) if q]
     lines = [
-        f"numerator: {numerator}",
-        f"palindromic: {'yes' if numerator.palindromic else 'no'}",
+        f"numerator: {' + '.join(terms) or '0'}",
+        f"palindromic: {'yes' if numerator == numerator[::-1] else 'no'}",
         f"invariant monomial counts up to degree {max_degree}:",
     ]
     for d, c in enumerate(counts):

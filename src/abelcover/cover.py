@@ -201,7 +201,8 @@ class SumMapPresentation(_Frozen):
     once, from (kernel_gens, kernel_order, image_order, etale_index), all
     read off the one Hermite basis of sum_map:
 
-    * K = ker(nu): generators (elements of H) and the order |H| / |M|;
+    * K = ker(nu): generators, the residue tuples (t_1, ..., t_s) with
+      0 <= t_i < d_i of the nonzero Hermite rows, and the order |H| / |M|;
     * M = im(nu): its order and the etale index |T| = |G| / |M|.
 
     The branch data rewritten inside M, the totally ramified part of the
@@ -245,9 +246,8 @@ def ramification_factorization(data: CombinatorialData) -> SumMapPresentation:
     etale_index = prod(rows[k][k] for k in range(r))
     image_order = data.group.order // etale_index
     block = [row[r:] for row in rows[r:]]
-    source = AbelianGroup(orders)
-    gens = tuple(source.element(y) for i, (y, d) in enumerate(zip(block, orders)) if y[i] < d)
-    return SumMapPresentation(gens, source.order // image_order, image_order, etale_index)
+    gens = tuple(tuple(y) for i, (y, d) in enumerate(zip(block, orders)) if y[i] < d)
+    return SumMapPresentation(gens, prod(orders) // image_order, image_order, etale_index)
 
 
 def restrict(data: CombinatorialData, presentation: SumMapPresentation) -> CombinatorialData:
@@ -266,8 +266,7 @@ def restrict(data: CombinatorialData, presentation: SumMapPresentation) -> Combi
         return data
     orders = data.orders
     block = [[0] * i + [d] + [0] * (len(orders) - i - 1) for i, d in enumerate(orders)]
-    for gen in presentation.kernel_gens:
-        y = list(gen.residues)
+    for y in presentation.kernel_gens:
         block[next(i for i, c in enumerate(y) if c)] = y
     D, V = smith_normal_form(block)
     diag = [row[i] for i, row in enumerate(D)]
@@ -287,7 +286,8 @@ def restrict(data: CombinatorialData, presentation: SumMapPresentation) -> Combi
 
 class KernelDescription(_Frozen):
     """K = ker(nu) inside H = Z/d_1 + ... + Z/d_s, built from (generators,
-    order, min_support).
+    order, min_support).  The generators are the presentation's residue
+    tuples (t_1, ..., t_s), 0 <= t_i < d_i.
 
     min_support is the least number of nonzero coordinates over the nonzero
     elements of K.  It is exact when given; it is None when K is trivial or
@@ -333,7 +333,7 @@ def kernel_K(data: CombinatorialData, presentation: SumMapPresentation) -> Kerne
     enumerate_after = order <= min(probes, limit)
     support = _probe_supports(data, order if enumerate_after else limit)
     if support is None and enumerate_after:
-        elements = closure(orders, (g.residues for g in gens))
+        elements = closure(orders, gens)
         support = min(sum(1 for x in t if x) for t in elements if any(t))
     return KernelDescription(gens, order, support)
 

@@ -456,42 +456,18 @@ def socle_basis(ring: FiberRing) -> Iterator[int]:
         snapshot = f"{covered:0{n}b}"
 
 
-class HilbertNumerator(_Frozen):
-    """q_d = number of basis monomials w_chi of total degree d, kept at
-    index d of the one field, `coefficients`.
-
-    The generating polynomial of the invariant ring over its polynomial
-    subring; palindromic coefficients are the graded signature of the
-    Gorenstein property (Stanley's symmetry criterion)."""
-
-    __slots__ = _fields = ("coefficients",)
-
-    @property
-    def palindromic(self) -> bool:
-        return self.coefficients == self.coefficients[::-1]
-
-    def __str__(self) -> str:
-        terms = []
-        for d, q in enumerate(self.coefficients):
-            if not q:
-                continue
-            if d == 0:
-                terms.append(str(q))
-            else:
-                power = "t" if d == 1 else f"t^{d}"
-                terms.append(power if q == 1 else f"{q}*{power}")
-        return " + ".join(terms) if terms else "0"
-
-
-def hilbert_numerator(ring: FiberRing) -> HilbertNumerator:
-    """Degree distribution of the w_chi basis of the fiber ring, read off
-    ring.tally, every coefficient at once.  classify's palindrome test,
-    hilbert_palindromic, does not build it."""
+def hilbert_numerator(ring: FiberRing) -> tuple[int, ...]:
+    """The coefficients (q_0, ..., q_D) of the Hilbert numerator of the
+    invariant ring over its polynomial subring, all read off ring.tally:
+    q_d counts the basis monomials w_chi of total degree d.  Palindromic
+    coefficients are the graded signature of the Gorenstein property
+    (Stanley's symmetry criterion); hilbert_palindromic decides that
+    without building them."""
     tally = ring.tally
     # From a list, the tuple is allocated at its final size.  From a map,
     # which has no length hint, tuple() takes a 10-slot tuple and resizes
     # it, moving one free-list entry from size 10 to the final size.
-    return HilbertNumerator(tuple([*map(tally.get, range(max(tally) + 1), repeat(0))]))
+    return tuple([*map(tally.get, range(max(tally) + 1), repeat(0))])
 
 
 def hilbert_palindromic(ring: FiberRing) -> bool:
@@ -561,7 +537,7 @@ def invariant_monomials_up_to_degree(
     if not s:
         return [()]
     L, weights = psi_weights(data)
-    rows = [[t * w % L for t, w in zip(k.residues, weights)] for k in presentation.kernel_gens]
+    rows = [[t * w % L for t, w in zip(k, weights)] for k in presentation.kernel_gens]
     out = []
     for degree in range(max_degree + 1):
         top = (degree,)

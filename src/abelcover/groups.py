@@ -1,12 +1,12 @@
 """Exact arithmetic for finite abelian groups.
 
 Groups are direct sums of cyclic groups Z/m_1 + ... + Z/m_r kept in the
-decomposition the caller supplies.  Characters take values in Q/Z (an exact
-stand-in for roots of unity), written as integer numerators n/L over the
-group exponent L.  The integer linear algebra underneath everything is
-Hermite bases reduced mod the moduli, with a Smith normal form only for the
-cyclic decomposition of a proper image, over arbitrary-precision ints.  No
-floating point anywhere.
+decomposition the caller supplies.  A character is a plain tuple of residues
+(c_1, ..., c_r), reduced mod the moduli, whose value at e is
+sum_j c_j e_j / m_j in Q/Z (an exact stand-in for roots of unity).  The
+integer linear algebra underneath everything is Hermite bases reduced mod
+the moduli, with a Smith normal form only for the cyclic decomposition of a
+proper image, over arbitrary-precision ints.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# Groups, elements and characters
+# Groups and elements
 
 
 class _Frozen:
@@ -251,12 +251,6 @@ class AbelianGroup(_Frozen):
             for j in range(self.rank)
         )
 
-    def character(self, residues) -> "Character":
-        return Character(self, tuple(residues))
-
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
     def __str__(self) -> str:
         if not self.moduli:
             return "trivial"
@@ -270,17 +264,16 @@ class Element(_Frozen):
         if len(residues) != group.rank:
             raise ValueError(f"expected {group.rank} residues, got {len(residues)}")
         object.__setattr__(self, "group", group)
-        # From a list, the tuple is allocated at its final size (see
-        # fiber.hilbert_numerator).
+        # From a list, the tuple is allocated at its final size: from a map,
+        # which has no length hint, tuple() over-allocates and resizes.
         object.__setattr__(
             self, "residues", tuple([*map(mod, map(int, residues), group.moduli)]))
 
     def __add__(self, other):
-        """The componentwise sum, of the class of self: the group law of
-        elements here and, as Character.__mul__, of characters."""
+        """The componentwise sum, the group law."""
         if other.group != self.group:
-            raise ValueError(f"{self.__class__.__name__.lower()}s of different groups")
-        return self.__class__(self.group, tuple(map(add, self.residues, other.residues)))
+            raise ValueError("elements of different groups")
+        return Element(self.group, tuple(map(add, self.residues, other.residues)))
 
     def __mul__(self, k: int) -> "Element":
         return Element(self.group, tuple(k * r for r in self.residues))
@@ -294,27 +287,6 @@ class Element(_Frozen):
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self.residues)) + ")"
-
-
-class Character(_Frozen):
-    """A character of a finite abelian group, as residues c_j against each
-    cyclic factor: the value at e is sum_j c_j * e_j / m_j in Q/Z."""
-
-    __slots__ = _fields = ("group", "residues")
-    __init__, __mul__, __str__ = Element.__init__, Element.__add__, Element.__str__
-
-    def __call__(self, e: Element) -> int:
-        """The value at e as the numerator n in [0, L) of n/L, where
-        L = group.exponent.
-
-        >>> G = AbelianGroup((105,))
-        >>> G.character((1,))(G.element((5,)))  # 5/105 = 1/21
-        5
-        """
-        if e.group != self.group:
-            raise ValueError("element of a different group")
-        L, moduli = self.group.exponent, self.group.moduli
-        return sum(c * x * (L // m) for c, x, m in zip(self.residues, e.residues, moduli)) % L
 
 
 def closure(moduli: tuple[int, ...], generators) -> list[tuple[int, ...]]:
@@ -438,9 +410,10 @@ def _fold_pivots(moduli: tuple[int, ...], rows: list[list[int]], v: list[int]) -
 # Character congruences
 
 
-def solve_character_congruences(group: AbelianGroup, constraints) -> Character | None:
+def solve_character_congruences(group: AbelianGroup, constraints) -> tuple[int, ...] | None:
     """A character chi of `group` with chi(g) = a/d in Q/Z for every
-    (g, a, d) constraint, or None when no such character exists.  d is
+    (g, a, d) constraint, as its residues (c_1, ..., c_r) reduced mod the
+    moduli, or None when no such character exists.  d is
     ord(g), which the caller already holds: gorenstein_lift passes the
     stored BranchDatum.order, so no order is computed here.
 
@@ -458,9 +431,11 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     {(0, c) : M c = 0 (mod L)}, the homogeneous solutions.  Reducing c
     against them one coordinate at a time (x_j mod pivot_j) gives the
     lexicographically smallest solution, so the output is deterministic.
-    A solution is checked against every constraint before it is returned,
-    as chi(g) = sum_j c_j (L / m_j) g_j mod L against the cleared target
-    b, with the weights c_j (L / m_j) computed once.
+    Each c_j ends in [0, pivot_j), and pivot_j divides m_j, so the solution
+    is already reduced mod the moduli.  It is checked against every
+    constraint before it is returned, as chi(g) = sum_j c_j (L / m_j) g_j
+    mod L against the cleared target b, with the weights c_j (L / m_j)
+    computed once.
     A None is not re-checked by enumerating G: classify compares it with
     three independent Gorenstein routes, which catch a missed solution.
     """
@@ -469,7 +444,7 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     if any(g.group != group for g, _, _ in constraints):
         raise ValueError("constraint element of a different group")
     if not constraints or r == 0:
-        return group.trivial_character()
+        return (0,) * r
 
     L = group.exponent
     k = len(constraints)
@@ -489,9 +464,8 @@ def solve_character_congruences(group: AbelianGroup, constraints) -> Character |
     for j, row in enumerate(rows[k:]):
         q = residues[j] // row[k + j]
         residues = [a - q * h for a, h in zip(residues, row[k:])]
-    chi = group.character(residues)
-    weights = [c * (L // m) for c, m in zip(chi.residues, group.moduli)]
+    weights = [c * (L // m) for c, m in zip(residues, group.moduli)]
     for (g, _, _), target in zip(constraints, b):
         if sum(map(mul, weights, g.residues)) % L != target:
             raise ArithmeticError("congruence solver produced a bad solution")
-    return chi
+    return tuple(residues)

@@ -16,7 +16,6 @@ from operator import add, ge, mul
 from abelcover import (
     AbelianGroup,
     BranchDatum,
-    Character,
     CombinatorialData,
     Element,
     InvalidCoverData,
@@ -44,9 +43,8 @@ def elements_of(group: AbelianGroup):
 
 
 def characters_of(group: AbelianGroup):
-    """All |G| characters in lexicographic residue order."""
-    for residues in product(*(range(m) for m in group.moduli)):
-        yield group.character(residues)
+    """All |G| characters, as residue tuples, in lexicographic order."""
+    return product(*(range(m) for m in group.moduli))
 
 
 def product_index(ring, i: int, j: int) -> int | None:
@@ -68,12 +66,12 @@ def product_index(ring, i: int, j: int) -> int | None:
 _basis: list = [None, {}]
 
 
-def character_index(chi: Character) -> int:
+def character_index(chi: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     """The basis index of w_chi in a ring of build_fiber_ring: chi's
     residues read as mixed-radix digits over its group's moduli, the
     position of chi in characters_of."""
     k = 0
-    for c, m in zip(chi.residues, chi.group.moduli):
+    for c, m in zip(chi, moduli):
         k = k * m + c
     return k
 
@@ -293,7 +291,7 @@ def brute_image(data: CombinatorialData) -> set[tuple[int, ...]]:
 
 def character_value(chi, e) -> Fraction:
     """chi(e) = sum_j c_j e_j / m_j in Q/Z, as a Fraction in [0, 1)."""
-    return sum((Fraction(c * x, m) for c, x, m in zip(chi.residues, e.residues, e.group.moduli)),
+    return sum((Fraction(c * x, m) for c, x, m in zip(chi, e.residues, e.group.moduli)),
                Fraction(0)) % 1
 
 

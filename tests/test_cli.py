@@ -331,12 +331,12 @@ class TestCommands:
             "etale_index": report.etale_index,
             "kernel": {
                 "order": kernel.order,
-                "generators": [list(g.residues) for g in kernel.generators],
+                "generators": [list(g) for g in kernel.generators],
                 "min_support": kernel.min_support,
             },
             "gorenstein": report.gorenstein,
             "certificate": (None if report.certificate is None
-                            else list(report.certificate.residues)),
+                            else list(report.certificate)),
             "cross_checks": {"lift": checks.lift, "watanabe": checks.watanabe,
                              "socle": checks.socle,
                              "hilbert_palindromic": checks.hilbert_palindromic},

@@ -13,6 +13,8 @@ from abelcover import (
     BranchDatum,
     CombinatorialData,
     InvalidCoverData,
+    build_fiber_ring,
+    hilbert_numerator,
     kernel_K,
     ramification_factorization,
     restrict,
@@ -52,7 +54,7 @@ def kernel_of(data):
 
 def kernel_elements(data, kd):
     """All elements of K as residue tuples, enumerated from its generators."""
-    return closure(data.orders, [g.residues for g in kd.generators])
+    return closure(data.orders, kd.generators)
 
 
 class TestCombinatorialData:
@@ -284,7 +286,7 @@ class TestKernelK:
         data = z2cubed_data()
         kd = kernel_of(data)
         assert kd.order == 2
-        assert {g.residues for g in kd.generators} == {(1, 1, 1, 1)}
+        assert set(kd.generators) == {(1, 1, 1, 1)}
         assert kd.min_support == 4
         assert len(kernel_elements(data, kd)) == 2
 
@@ -297,8 +299,7 @@ class TestKernelK:
         rng = random.Random(seed)
         data = random_data(rng, random_group(rng, max_order=512), max_branch=6)
         pres = ramification_factorization(data)
-        gens = [g.residues for g in pres.kernel_gens]
-        assert kernel_K(data, pres).min_support == brute_min_support(data.orders, gens)
+        assert kernel_K(data, pres).min_support == brute_min_support(data.orders, pres.kernel_gens)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_walk_decides_without_enumeration(self, seed):
@@ -315,15 +316,13 @@ class TestKernelK:
             pres = ramification_factorization(data)
             if pres.kernel_order > 2**data.size - 2 - data.size:
                 break
-        gens = [g.residues for g in pres.kernel_gens]
-
         def no_enumeration(*args):
             raise AssertionError("kernel_K enumerated K")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(abelcover.cover, "closure", no_enumeration)
             got = kernel_K(data, pres).min_support
-        assert got == brute_min_support(data.orders, gens)
+        assert got == brute_min_support(data.orders, pres.kernel_gens)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_budget_near_the_switch(self, seed):
@@ -340,7 +339,7 @@ class TestKernelK:
             except RuntimeError:  # too few distinct lines in a small group
                 continue
         pres = ramification_factorization(data)
-        exact = brute_min_support(data.orders, [g.residues for g in pres.kernel_gens])
+        exact = brute_min_support(data.orders, pres.kernel_gens)
         probes = 2**data.size - 2 - data.size
         limits = {0, 1}
         for centre in (pres.kernel_order, probes):
@@ -550,7 +549,7 @@ class TestRamificationFactorization:
         assert fact.etale_index == 1 and fact.kernel_order == p**r
         gens = [datum.generator.residues for datum in data.branch]
         for k in fact.kernel_gens:
-            assert not any(sum(t * g[j] for t, g in zip(k.residues, gens)) % p for j in range(r))
+            assert not any(sum(t * g[j] for t, g in zip(k, gens)) % p for j in range(r))
         assert elapsed < 1.0, f"presentation took {elapsed:.3f} s"
 
     def test_totally_ramified_needs_no_smith_form(self, monkeypatch):
@@ -619,7 +618,7 @@ class TestSumMapPresentation:
         pres = ramification_factorization(data)
         kernel = brute_kernel(data)
         assert pres.kernel_order == len(kernel)
-        assert set(closure(data.orders, [g.residues for g in pres.kernel_gens])) == kernel
+        assert set(closure(data.orders, pres.kernel_gens)) == kernel
         assert pres.image_order == len(brute_image(data))
         assert pres.etale_index * pres.image_order == data.group.order
         restricted = restrict(data, pres)
@@ -631,12 +630,22 @@ class TestSumMapPresentation:
         # Four fields on __slots__ and no copy of the input: equality, hash,
         # pickle and deepcopy see the presentation only.  The restriction to
         # M is a function of the input and the presentation, and returns
-        # the input itself when nu is onto.
-        for data in (single_datum_z105(), z2cubed_data()):
+        # the input itself when nu is onto.  The kernel generators are plain
+        # residue tuples of H, reduced mod the d_i.
+        rng = random.Random(5)
+        samples = [random_data(rng, random_group(rng, max_order=512), max_branch=5)
+                   for _ in range(30)]
+        for data in (single_datum_z105(), z2cubed_data(), *samples):
             pres = ramification_factorization(data)
+            for gen in pres.kernel_gens:
+                assert type(gen) is tuple and len(gen) == data.size
+                assert all(type(t) is int and 0 <= t < d for t, d in zip(gen, data.orders))
             assert not hasattr(pres, "__dict__")
             assert pres._fields == ("kernel_gens", "kernel_order", "image_order", "etale_index")
             for copied in (pickle.loads(pickle.dumps(pres)), copy.deepcopy(pres)):
                 assert copied == pres and hash(copied) == hash(pres)
         data = z2cubed_data()
         assert restrict(data, ramification_factorization(data)) is data
+        numerator = hilbert_numerator(build_fiber_ring(data))
+        assert type(numerator) is tuple and numerator == (1, 0, 6, 0, 1)
+        assert not hasattr(abelcover, "Character") and not hasattr(abelcover, "HilbertNumerator")

@@ -18,7 +18,6 @@ from abelcover import (
     ValidationIssue,
     build_fiber_ring,
     classify,
-    hilbert_numerator,
     kernel_K,
     ramification_factorization,
     smith_normal_form,
@@ -213,7 +212,7 @@ class TestKernelAndImage:
         data = sum_map_data(Z3, [Z3.element((1,)), Z3.element((1,))])
         pres = ramification_factorization(data)
         assert pres.kernel_order == 3
-        generated = set(closure((3, 3), [g.residues for g in pres.kernel_gens]))
+        generated = set(closure((3, 3), pres.kernel_gens))
         assert generated == {(0, 0), (1, 2), (2, 1)}
 
     def test_z2cubed_kernel(self):
@@ -221,7 +220,7 @@ class TestKernelAndImage:
         e1, e2, e3 = G.generators()
         pres = ramification_factorization(sum_map_data(G, [e1, e2, e3, e1 + e2 + e3]))
         assert pres.kernel_order == 2
-        assert {g.residues for g in pres.kernel_gens} == {(1, 1, 1, 1)}
+        assert set(pres.kernel_gens) == {(1, 1, 1, 1)}
 
     def test_zero_hom_image(self):
         pres = ramification_factorization(CombinatorialData(AbelianGroup((4,)), ()))
@@ -247,8 +246,8 @@ class TestKernelAndImage:
         pres = ramification_factorization(data)
         kernel = brute_kernel(data)
         assert pres.kernel_order * pres.image_order == prod(data.orders)
-        assert {g.residues for g in pres.kernel_gens} <= kernel
-        generated = closure(data.orders, [g.residues for g in pres.kernel_gens])
+        assert set(pres.kernel_gens) <= kernel
+        generated = closure(data.orders, pres.kernel_gens)
         assert set(generated) == kernel
         assert pres.image_order == len(brute_image(data))
 
@@ -366,67 +365,26 @@ class TestHermite:
 
 
 class TestCharacters:
-    def test_trivial_character(self):
-        G = AbelianGroup((2, 2, 2))
-        chi = G.trivial_character()
-        for e in elements_of(G):
-            assert chi(e) == 0
-
-    def test_sum_of_generators(self):
-        G = AbelianGroup((2, 2, 2))
-        chi = G.character((1, 1, 1))
-        e = G.element((1, 1, 1))
-        assert chi(e) == 1  # 1/2
-
-    def test_z105(self):
-        G = AbelianGroup((105,))
-        chi = G.character((1,))
-        assert G.exponent == 105
-        assert chi(G.element((5,))) == 5  # 5/105 = 1/21
-
     def test_character_count(self):
         G = AbelianGroup((2, 3, 4))
         assert len(list(characters_of(G))) == G.order
-
-    @given(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3),
-           st.integers(min_value=0, max_value=10**6))
-    def test_biadditivity(self, moduli, seed):
-        G = AbelianGroup(moduli)
-        rng = random.Random(seed)
-        pick = lambda: [rng.randrange(m) for m in moduli]
-        chi, chi2 = G.character(pick()), G.character(pick())
-        e, e2 = G.element(pick()), G.element(pick())
-        L = G.exponent
-        assert chi(e + e2) == (chi(e) + chi(e2)) % L
-        assert (chi * chi2)(e) == (chi(e) + chi2(e)) % L
 
     def test_exponent(self):
         assert AbelianGroup(()).exponent == 1
         assert AbelianGroup((4, 6, 3)).exponent == 12
 
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_numerator_over_the_exponent(self, seed):
-        # chi(e) = n means n / exponent; compare with the exact Fraction sum.
-        rng = random.Random(seed)
-        G = random_group(rng, max_order=512, max_rank=4)
-        chi = G.character([rng.randrange(m) for m in G.moduli])
-        e = G.element([rng.randrange(m) for m in G.moduli])
-        n = chi(e)
-        assert 0 <= n < G.exponent
-        assert Fraction(n, G.exponent) == character_value(chi, e)
-
 
 class TestSolveCharacterCongruences:
     def test_empty_constraints(self):
         G = AbelianGroup((2, 3))
-        assert solve_character_congruences(G, []) == G.trivial_character()
+        assert solve_character_congruences(G, []) == (0, 0)
 
     def test_z2cubed_system(self):
         G = AbelianGroup((2, 2, 2))
         e1, e2, e3 = G.generators()
         chi = solve_character_congruences(
             G, [(e1, 1, 2), (e2, 1, 2), (e3, 1, 2), (e1 + e2 + e3, 1, 2)])
-        assert chi == G.character((1, 1, 1))
+        assert chi == (1, 1, 1)
 
     def test_contradiction(self):
         G = AbelianGroup((3,))
@@ -440,7 +398,7 @@ class TestSolveCharacterCongruences:
         G = AbelianGroup((4, 4))
         g = G.element((0, 1))
         chi = solve_character_congruences(G, [(g, 1, 4)])
-        assert chi == G.character((0, 1))
+        assert chi == (0, 1)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_agrees_with_enumeration(self, seed):
@@ -452,7 +410,7 @@ class TestSolveCharacterCongruences:
         constraints = []
         if rng.random() < 0.5:
             # solvable by construction: read values off a hidden character
-            hidden = G.character([rng.randrange(m) for m in moduli])
+            hidden = tuple(rng.randrange(m) for m in moduli)
             for _ in range(k):
                 g = G.element([rng.randrange(m) for m in moduli])
                 constraints.append((g, int(character_value(hidden, g) * g.order())))
@@ -468,20 +426,32 @@ class TestSolveCharacterCongruences:
             assert found is not None
             assert all(character_value(found, g) == Fraction(a, g.order()) % 1
                        for g, a in constraints)
-            assert found.residues == min(chi.residues for chi in solutions)
+            assert found == min(solutions)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_least_point_of_the_solution_coset(self, seed):
         rng = random.Random(seed)
         G = random_group(rng, max_order=512, max_rank=4)
-        hidden = G.character([rng.randrange(m) for m in G.moduli])
+        hidden = tuple(rng.randrange(m) for m in G.moduli)
         elements = [G.element([rng.randrange(m) for m in G.moduli])
                     for _ in range(rng.randint(1, 3))]
         found = solve_character_congruences(
             G, [(g, int(character_value(hidden, g) * g.order()), g.order()) for g in elements])
         homogeneous = brute_character_solutions(G, [(g, 0) for g in elements])
-        assert found.residues == lex_least_in_coset(
-            G.moduli, hidden.residues, [chi.residues for chi in homogeneous])
+        assert found == lex_least_in_coset(G.moduli, hidden, homogeneous)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_certificate_is_a_reduced_residue_tuple(self, seed):
+        # The back-substitution leaves each c_j in [0, pivot_j), pivot_j
+        # dividing m_j, so the solver returns reduced residues.
+        rng = random.Random(seed)
+        data = random_data(rng, random_group(rng, max_order=512, max_rank=4), max_branch=5)
+        chi = solve_character_congruences(
+            data.group, [(datum.generator, datum.char_residue, datum.order)
+                         for datum in data.branch])
+        if chi is not None:
+            assert type(chi) is tuple and len(chi) == data.group.rank
+            assert all(type(c) is int and 0 <= c < m for c, m in zip(chi, data.group.moduli))
 
     def test_lex_least_past_the_old_coset_bound(self):
         # One constraint on (Z/1009)^3: the homogeneous solutions number
@@ -499,7 +469,7 @@ class TestSolveCharacterCongruences:
             c = 0 if any(g.residues[k + 1:]) else rest * pow(x, -1, p) % p
             expected.append(c)
             rest = (rest - c * x) % p
-        assert chi.residues == tuple(expected) == (0, 0, 367)
+        assert chi == tuple(expected) == (0, 0, 367)
         assert elapsed < 0.05, f"solve took {elapsed:.3f} s"
 
     def test_wide_system_is_fast(self):
@@ -507,7 +477,7 @@ class TestSolveCharacterCongruences:
         p, r = 10007, 12
         rng = random.Random(12)
         G = AbelianGroup((p,) * r)
-        hidden = G.character([rng.randrange(p) for _ in range(r)])
+        hidden = tuple(rng.randrange(p) for _ in range(r))
         elements = [G.element([rng.randrange(p) for _ in range(r)]) for _ in range(2 * r)]
         constraints = [(g, int(character_value(hidden, g) * g.order()), g.order()) for g in elements]
         start = perf_counter()
@@ -584,7 +554,6 @@ def _zpqr(v: int) -> CombinatorialData:
 VALUE_CLASSES = {
     "AbelianGroup": (lambda v: AbelianGroup((2, 4 + 2 * v)), "moduli"),
     "Element": (lambda v: AbelianGroup((2, 4)).element((1, v)), "residues"),
-    "Character": (lambda v: AbelianGroup((2, 4)).character((1, v)), "residues"),
     "BranchDatum": (lambda v: BranchDatum(AbelianGroup((5,)).element((1,)), 1 + v),
                     "char_residue"),
     "CombinatorialData": (_zpqr, "branch"),
@@ -593,8 +562,6 @@ VALUE_CLASSES = {
     "KernelDescription": (
         lambda v: kernel_K(_zpqr(v), ramification_factorization(_zpqr(v))), "order"),
     "FiberRing": (lambda v: build_fiber_ring(_zpqr(v)), "columns"),
-    "HilbertNumerator": (
-        lambda v: hilbert_numerator(build_fiber_ring(_zpqr(v))), "coefficients"),
     "GorensteinChecks": (lambda v: GorensteinChecks(True, True, None, v == 0), "lift"),
     "ClassificationReport": (lambda v: classify(_zpqr(v)), "gorenstein"),
     "ExampleEntry": (lambda v: ExampleEntry("name", "summary", {"p": v}, abs), "defaults"),
@@ -624,7 +591,7 @@ class TestValueClasses:
 
     @pytest.mark.parametrize("name", [
         "ClassificationReport", "ExampleEntry", "FiberRing", "GorensteinChecks",
-        "HilbertNumerator", "KernelDescription", "SumMapPresentation", "ValidationIssue"])
+        "KernelDescription", "SumMapPresentation", "ValidationIssue"])
     def test_record_arity(self, name):
         make, _ = VALUE_CLASSES[name]
         value = make(0)
@@ -636,30 +603,25 @@ class TestValueClasses:
             cls(*values, None)
 
     def test_elements_are_not_characters(self):
+        # A character is its plain residue tuple, which no element equals.
         G = AbelianGroup((2, 4))
-        assert G.element((1, 3)) != G.character((1, 3))
-        assert G.character((1, 3)) != G.element((1, 3))
+        assert G.element((1, 3)) != (1, 3)
+        assert (1, 3) != G.element((1, 3))
 
     def test_group_law_checks_the_group(self):
-        # Elements and characters share one componentwise law; each names
-        # its own kind when the groups differ.
         G, H = AbelianGroup((2, 4)), AbelianGroup((2, 6))
         with pytest.raises(ValueError, match="^elements of different groups$"):
             G.element((1, 1)) + H.element((1, 1))
-        with pytest.raises(ValueError, match="^characters of different groups$"):
-            G.character((1, 1)) * H.character((1, 1))
         # A group built apart but equal passes the check.
         total = G.element((1, 3)) + AbelianGroup((2, 4)).element((1, 2))
         assert total == G.element((0, 1)) and str(total) == "(0, 1)"
-        product = G.character((1, 3)) * AbelianGroup((2, 4)).character((1, 2))
-        assert product == G.character((0, 1)) and str(product) == "(0, 1)"
 
     def test_equal_to_itself_without_a_field_read(self, monkeypatch):
         G = AbelianGroup((2, 4))
-        e, chi = G.element((1, 3)), G.character((1, 3))
+        e = G.element((1, 3))
         monkeypatch.setattr(_Frozen, "_values", lambda self: pytest.fail("fields read"))
         assert G == G and not G != G
-        assert e == e and chi == chi
+        assert e == e
         assert (e + e).residues == (0, 2)
 
     def test_gorenstein_checks_repr(self):
